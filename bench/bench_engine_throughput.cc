@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -30,7 +31,6 @@
 #include "src/engine/sat_engine.h"
 #include "src/obs/metrics.h"
 #include "src/sat/satisfiability.h"
-#include "src/server/protocol.h"
 #include "src/server/socket_server.h"
 #include "src/util/net.h"
 #include "src/util/rng.h"
@@ -423,76 +423,62 @@ int main(int argc, char** argv) {
       out << kCatalogDtdText;
       BenchCheck(out.good(), "catalog DTD file written");
     }
-    Result<net::ScopedFd> conn = net::ConnectUnix(server_opt.unix_path);
+    // Raw mode: the tap sees every reply line on the client's reader thread.
+    // Result lines start with the ticket id; flush acks mark round
+    // boundaries. Ticket ids are engine-global and this client is alone, so
+    // id -> submission index is exact (warm round: 1..N, timed round:
+    // N+1..2N). `results` is written only by the reader thread and read
+    // after WaitForServerEof, which orders the two. The client is declared
+    // after everything its tap touches, so its reader is joined first.
+    struct Received {
+      uint64_t id;
+      std::string verdict;
+      uint64_t arrived_ns;  // reader-side receipt timestamp
+    };
+    std::vector<Received> results;
+    std::promise<void> flushed[2];
+    int flush_acks = 0;  // reader thread only
+    client::ClientOptions copt;
+    copt.target = "unix:" + server_opt.unix_path;
+    Result<std::unique_ptr<client::Client>> conn =
+        client::Client::Connect(copt);
     BenchCheck(conn.ok(), "client connects: " + conn.error());
-    const int fd = conn.value().get();
-
-    // Reply drain: result lines start with the ticket id; flush acks mark
-    // round boundaries. Ticket ids are engine-global and this client is
-    // alone, so id -> submission index is exact (warm round: 1..N, timed
-    // round: N+1..2N).
-    struct Drain {
-      std::mutex mu;
-      std::condition_variable cv;
-      struct Received {
-        uint64_t id;
-        std::string verdict;
-        uint64_t arrived_ns;  // reader-side receipt timestamp
-      };
-      std::vector<Received> results;
-      int flush_acks = 0;
-      bool eof = false;
-    } drain;
-    std::thread reader([fd, &drain] {
-      net::LineReader lr(fd, protocol::kMaxLineBytes);
-      std::string line, error;
-      for (;;) {
-        net::LineReader::Event ev = lr.ReadLine(&line, &error);
-        if (ev == net::LineReader::Event::kEof ||
-            ev == net::LineReader::Event::kError) {
-          std::lock_guard<std::mutex> lock(drain.mu);
-          drain.eof = true;
-          drain.cv.notify_all();
-          return;
-        }
-        if (ev != net::LineReader::Event::kLine) continue;
-        if (!line.empty() && line[0] >= '0' && line[0] <= '9') {
-          size_t open = line.find('[');
-          size_t close = line.find(']', open);
-          BenchCheck(open != std::string::npos && close != std::string::npos,
-                     "result line shape: " + line);
-          uint64_t id = std::strtoull(line.c_str(), nullptr, 10);
-          std::string verdict = line.substr(open + 1, close - open - 1);
-          while (!verdict.empty() && verdict.back() == ' ')
-            verdict.pop_back();
-          uint64_t arrived_ns = NowNs();
-          std::lock_guard<std::mutex> lock(drain.mu);
-          drain.results.push_back({id, std::move(verdict), arrived_ns});
-        } else if (line == "ok flush") {
-          std::lock_guard<std::mutex> lock(drain.mu);
-          ++drain.flush_acks;
-          drain.cv.notify_all();
-        }
+    client::Client& client = *conn.value();
+    client.set_line_tap([&](const std::string& line) {
+      if (!line.empty() && line[0] >= '0' && line[0] <= '9') {
+        size_t open = line.find('[');
+        size_t close = line.find(']', open);
+        BenchCheck(open != std::string::npos && close != std::string::npos,
+                   "result line shape: " + line);
+        uint64_t id = std::strtoull(line.c_str(), nullptr, 10);
+        std::string verdict = line.substr(open + 1, close - open - 1);
+        while (!verdict.empty() && verdict.back() == ' ') verdict.pop_back();
+        results.push_back({id, std::move(verdict), NowNs()});
+      } else if (line == "ok flush" && flush_acks < 2) {
+        flushed[flush_acks++].set_value();
       }
     });
-    auto send = [fd](const std::string& s) {
-      Status sent = net::WriteAll(fd, s + "\n");
+    auto send = [&client](const std::string& s) {
+      Status sent = client.SendRaw(s);
       BenchCheck(sent.ok(), "send: " + sent.message());
     };
-    auto wait_flush = [&drain](int count) {
-      std::unique_lock<std::mutex> lock(drain.mu);
-      drain.cv.wait(lock, [&] { return drain.flush_acks >= count || drain.eof; });
-      BenchCheck(drain.flush_acks >= count, "connection died mid-round");
+    auto wait_flush = [&client, &flushed](int round) {
+      std::future<void> done = flushed[round].get_future();
+      while (done.wait_for(std::chrono::milliseconds(100)) !=
+             std::future_status::ready) {
+        BenchCheck(client.transport_status().ok(),
+                   "connection died mid-round");
+      }
     };
 
     send(std::string("dtd cat ") + dtd_path);
     for (const std::string& q : sequence) send("q cat " + q);  // warm
     send("flush");
-    wait_flush(1);
+    wait_flush(0);
 
     // Timed round: per-request send timestamps feed the round-trip latency
     // histogram (result lines carry engine-global ticket ids, so id ->
-    // submission index is exact; see the drain comment above).
+    // submission index is exact; see the tap comment above).
     std::vector<uint64_t> send_ns(sequence.size(), 0);
     t0 = Clock::now();
     for (size_t i = 0; i < sequence.size(); ++i) {
@@ -500,21 +486,17 @@ int main(int argc, char** argv) {
       send("q cat " + sequence[i]);
     }
     send("flush");
-    wait_flush(2);
+    wait_flush(1);
     double server_s = Seconds(t0, Clock::now());
 
     send("quit");
-    {
-      std::unique_lock<std::mutex> lock(drain.mu);
-      drain.cv.wait(lock, [&] { return drain.eof; });
-    }
-    reader.join();
+    client.WaitForServerEof();
     server.Stop();
 
     // Verdict parity over the wire, by ticket id.
     size_t timed_results = 0;
     obs::Histogram roundtrip_latency;
-    for (const auto& received : drain.results) {
+    for (const Received& received : results) {
       BenchCheck(received.id >= 1 && received.id <= 2ull * kRequests,
                  "wire ticket id range");
       if (received.id <= static_cast<uint64_t>(kRequests)) continue;  // warm
@@ -542,10 +524,9 @@ int main(int argc, char** argv) {
   }
 
   // Multi-client batched wire traffic: the negotiated framing end to end.
-  // Four client::Client connections ask for `hello batch binary`, split the
-  // fixed sequence, and drive it as `batch N` units of 1, 16, and 256
-  // members — each unit one length-prefixed write, one ack, callbacks by
-  // ticket id. Same warm-artifact/memo-off engine work as the
+  // Four client::Client connections ask for `hello batch`, split the fixed
+  // sequence, and drive it as `batch N` units of 1, 16, and 256 members —
+  // each unit one write, one ack, callbacks by ticket id. Same warm-artifact/memo-off engine work as the
   // Submit-pipelined phase, but with the engine pool sized to the host, so
   // the figure answers the ROADMAP question directly: once framing is
   // amortized, the wire stops being the bottleneck and batched socket
@@ -582,13 +563,10 @@ int main(int argc, char** argv) {
       client::ClientOptions copt;
       copt.target = "unix:" + server_opt.unix_path;
       copt.negotiate_batch = true;
-      copt.negotiate_binary = true;
       Result<std::unique_ptr<client::Client>> conn =
           client::Client::Connect(copt);
       BenchCheck(conn.ok(), "wire client connects: " + conn.error());
-      BenchCheck(conn.value()->batch_granted() &&
-                     conn.value()->binary_granted(),
-                 "server grants batch + binary framing");
+      BenchCheck(conn.value()->batch_granted(), "server grants batch framing");
       Result<std::string> ack =
           conn.value()->Call(std::string("dtd cat ") + dtd_path);
       BenchCheck(ack.ok() && ack.value().rfind("ok dtd", 0) == 0,
@@ -740,18 +718,17 @@ int main(int argc, char** argv) {
     Status started = server.Start();
     BenchCheck(started.ok(), "idle-phase server starts: " + started.message());
 
-    Result<net::ScopedFd> conn = net::ConnectUnix(server_opt.unix_path);
+    client::ClientOptions copt;
+    copt.target = "unix:" + server_opt.unix_path;
+    Result<std::unique_ptr<client::Client>> conn =
+        client::Client::Connect(copt);
     BenchCheck(conn.ok(), "idle-phase client connects: " + conn.error());
-    net::LineReader live_reader(conn.value().get(), protocol::kMaxLineBytes);
+    client::Client& live = *conn.value();
     auto ping_rate = [&] {
-      std::string line, error;
       Clock::time_point start = Clock::now();
       for (int i = 0; i < kPings; ++i) {
-        Status sent = net::WriteAll(conn.value().get(), "stats\n");
-        BenchCheck(sent.ok(), "idle-phase send: " + sent.message());
-        net::LineReader::Event ev = live_reader.ReadLine(&line, &error);
-        BenchCheck(ev == net::LineReader::Event::kLine &&
-                       line.rfind("stats {", 0) == 0,
+        Result<std::string> reply = live.Call("stats");
+        BenchCheck(reply.ok() && reply.value().rfind("stats {", 0) == 0,
                    "idle-phase stats reply");
       }
       return kPings / Seconds(start, Clock::now());

@@ -26,7 +26,6 @@ const char* const kKnownErrSlugs[] = {
     "unknown-ticket",  "not-cancellable", "dtd-parse",     "io",
     "auth-required",   "bad-auth",       "busy",           "throttled",
     "idle-timeout",    "store-corrupt",  "store-version",  "batch-mismatch",
-    "bad-frame",
 };
 const size_t kKnownErrSlugCount =
     sizeof(kKnownErrSlugs) / sizeof(kKnownErrSlugs[0]);
@@ -137,11 +136,8 @@ Result<std::unique_ptr<Client>> Client::Connect(const ClientOptions& options) {
                                                     reply.value());
     }
   }
-  if (options.negotiate_batch || options.negotiate_binary) {
-    std::string hello = "hello";
-    if (options.negotiate_batch) hello += " batch";
-    if (options.negotiate_binary) hello += " binary";
-    Result<std::string> reply = client->Call(hello);
+  if (options.negotiate_batch) {
+    Result<std::string> reply = client->Call("hello batch");
     if (!reply.ok()) {
       return Result<std::unique_ptr<Client>>::Error(reply.error());
     }
@@ -151,7 +147,6 @@ Result<std::unique_ptr<Client>> Client::Connect(const ClientOptions& options) {
     }
     const std::string granted = reply.value().substr(8);
     client->batch_granted_ = granted.find(" batch") != std::string::npos;
-    client->binary_granted_ = granted.find(" binary") != std::string::npos;
   }
   return client;
 }
@@ -179,10 +174,6 @@ void Client::ShutdownWrites() { ::shutdown(fd_.get(), SHUT_WR); }
 void Client::WaitForServerEof() {
   util::MutexLock lock(mu_);
   while (!reader_done_) cv_.Wait(mu_);
-}
-
-std::string Client::EncodePayload(const std::string& line) const {
-  return binary_granted_ ? protocol::EncodeFrame(line) : line + "\n";
 }
 
 Status Client::SendWithExpectation(const std::string& wire_bytes,
@@ -213,7 +204,7 @@ Result<std::string> Client::Call(const std::string& line) {
   const bool prom = line == "metrics prom";
   auto exp = std::make_shared<Expectation>(prom ? Expectation::Kind::kPromBlock
                                                : Expectation::Kind::kLine);
-  Status sent = SendWithExpectation(EncodePayload(line), exp);
+  Status sent = SendWithExpectation(line + "\n", exp);
   if (!sent.ok()) return Result<std::string>::Error(sent.message());
   return WaitFor(exp);
 }
@@ -244,7 +235,7 @@ Result<uint64_t> Client::SubmitQuery(const std::string& schema,
   auto exp = std::make_shared<Expectation>(Expectation::Kind::kQueryAck);
   exp->query_cb = std::move(cb);
   Status sent =
-      SendWithExpectation(EncodePayload("query " + schema + " " + query), exp);
+      SendWithExpectation("query " + schema + " " + query + "\n", exp);
   if (!sent.ok()) return Result<uint64_t>::Error(sent.message());
   Result<std::string> reply = WaitFor(exp);
   if (!reply.ok()) return Result<uint64_t>::Error(reply.error());
@@ -287,9 +278,9 @@ Result<Client::BatchHandle> Client::SubmitBatch(
   }
 
   // One wire unit: the batch header plus every member, one write.
-  std::string wire = EncodePayload("batch " + std::to_string(queries.size()));
+  std::string wire = "batch " + std::to_string(queries.size()) + "\n";
   for (const std::string& query : queries) {
-    wire += EncodePayload("query " + schema + " " + query);
+    wire += "query " + schema + " " + query + "\n";
   }
   auto exp = std::make_shared<Expectation>(Expectation::Kind::kBatchAck);
   exp->query_cb = std::move(per_item);

@@ -8,12 +8,11 @@
 // Two usage styles, not to be mixed on one connection:
 //
 //  * Structured: Connect() (optionally authenticating and negotiating
-//    `hello batch` / `hello binary`), then Call() for synchronous control
-//    verbs and SubmitQuery()/SubmitBatch() for pipelined queries. Many
-//    queries may be in flight at once; result lines arrive out of
-//    submission order and are dispatched to per-submission callbacks by
-//    ticket id. SubmitBatch uses the negotiated `batch N` framing (and
-//    binary frames, when granted) so N requests cost one write and the
+//    `hello batch`), then Call() for synchronous control verbs and
+//    SubmitQuery()/SubmitBatch() for pipelined queries. Many queries may be
+//    in flight at once; result lines arrive out of submission order and are
+//    dispatched to per-submission callbacks by ticket id. SubmitBatch uses
+//    the negotiated `batch N` framing so N requests cost one write and the
 //    server acks them as one unit.
 //  * Raw (the CLI's --connect passthrough): SendRaw() writes lines
 //    verbatim and a line tap observes every reply line; the client does no
@@ -72,11 +71,10 @@ struct ClientOptions {
   /// Nonempty: `auth SECRET` is sent (and must be acked) before Connect
   /// returns.
   std::string auth_secret;
-  /// Ask for `hello batch` / `hello binary` during Connect. What the server
-  /// actually granted is visible via batch_granted()/binary_granted();
-  /// SubmitBatch degrades gracefully when a feature was declined.
+  /// Ask for `hello batch` during Connect. What the server actually granted
+  /// is visible via batch_granted(); SubmitBatch degrades gracefully when
+  /// the feature was declined.
   bool negotiate_batch = false;
-  bool negotiate_binary = false;
   /// Reply-line cap for the reader (requests are capped by the protocol).
   size_t max_line_bytes = protocol::kMaxLineBytes;
 };
@@ -109,9 +107,8 @@ class Client {
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 
-  /// Features the server granted during Connect.
+  /// Whether the server granted `batch` during Connect.
   bool batch_granted() const { return batch_granted_; }
-  bool binary_granted() const { return binary_granted_; }
 
   /// Sends one control line and blocks for its reply. The reply is returned
   /// verbatim — including `err ...` lines; only transport failure is a
@@ -138,8 +135,7 @@ class Client {
   /// server granted batch framing (one write, one ack, one barrier);
   /// otherwise falls back to per-query submits. Blocks for the ack;
   /// `per_item` fires per result line, `done` (optional) after the last
-  /// one. With binary granted, the batch goes out as length-prefixed
-  /// frames.
+  /// one.
   Result<BatchHandle> SubmitBatch(const std::string& schema,
                                   const std::vector<std::string>& queries,
                                   QueryCallback per_item,
@@ -180,15 +176,11 @@ class Client {
   Status SendWithExpectation(const std::string& wire_bytes,
                              const std::shared_ptr<Expectation>& exp);
   Result<std::string> WaitFor(const std::shared_ptr<Expectation>& exp);
-  /// One request payload in the negotiated encoding: "LINE\n" as text, or a
-  /// length-prefixed frame when binary was granted.
-  std::string EncodePayload(const std::string& line) const;
 
   ClientOptions options_;
   net::ScopedFd fd_;
   std::thread reader_;
-  bool batch_granted_ = false;   // written only during Connect
-  bool binary_granted_ = false;  // written only during Connect
+  bool batch_granted_ = false;  // written only during Connect
 
   // Senders hold write_mu_ across (enqueue expectation, WriteAll) so the
   // FIFO expectation order is the wire order. Lock order: write_mu_ before

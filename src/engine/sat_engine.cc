@@ -277,7 +277,6 @@ SatEngine::SatEngine(const SatEngineOptions& options)
   // Resolve the per-phase histograms once; the request path then mutates
   // them lock-free through these pointers. (reaper_ only touches the route
   // counters, which are constructed before it starts.)
-  hist_wire_decode_ns_ = metrics_.histogram("request_wire_decode_ns");
   hist_queue_ns_ = metrics_.histogram("request_queue_ns");
   hist_parse_ns_ = metrics_.histogram("request_parse_ns");
   hist_rewrite_ns_ = metrics_.histogram("request_rewrite_ns");
@@ -414,14 +413,10 @@ void SatEngine::FinishTrace(SatResponse* resp, const SatRequest& request,
                             Clock::time_point end) {
   obs::RequestTrace& t = resp->trace;
   t.total_ns = ToNs(end - submitted);
-  // The wire-decode span is measured by the serving layer before Submit and
-  // rides in on the request; in-process callers leave it 0.
-  t.wire_decode_ns = request.wire_decode_ns;
   // Phase histograms are distributions over phases that actually ran:
   // queue wait and the total span exist for every executed request, but a
   // zero parse/rewrite/decide span means the phase was skipped (cache hit,
   // memo hit) and is not recorded.
-  if (t.wire_decode_ns != 0) hist_wire_decode_ns_->Record(t.wire_decode_ns);
   hist_queue_ns_->Record(t.queue_ns);
   if (t.parse_ns != 0) hist_parse_ns_->Record(t.parse_ns);
   if (t.rewrite_ns != 0) hist_rewrite_ns_->Record(t.rewrite_ns);
@@ -485,8 +480,7 @@ SatResponse SatEngine::Execute(const SatRequest& request,
 
   // The handle pins the artifacts: no per-request fingerprinting, cache
   // probe, or equivalence check — registration already paid for those.
-  // (resp.trace.compile_ns therefore stays 0 on every request path; DTD
-  // compilation is measured at RegisterDtd time into dtd_compile_ns.)
+  // (DTD compilation is measured at RegisterDtd time into dtd_compile_ns.)
   std::shared_ptr<const CompiledDtd> compiled = request.dtd.compiled();
   resp.dtd_fingerprint = compiled->fingerprint;
 
@@ -530,8 +524,6 @@ SatResponse SatEngine::Execute(const SatRequest& request,
   resp.report = DecideSatisfiability(*query->ast, query->features, *compiled,
                                      request.options, rewrite_cache_.get());
   const Clock::time_point decided = Clock::now();
-  resp.elapsed_us =
-      std::chrono::duration<double, std::micro>(decided - start).count();
   resp.status = Status::Ok();
   resp.trace.decide_ns = ToNs(decided - start);
   resp.trace.rewrite_ns = RewriteCache::TakeThreadRewriteNs();
@@ -877,7 +869,6 @@ SnapshotLoadResult SatEngine::LoadSnapshot(const std::string& path) {
       load_ns >= static_cast<uint64_t>(options_.slow_request_ns)) {
     obs::SlowQueryRecord rec;
     rec.query = "<snapshot:" + path + ">";
-    rec.trace.store_load_ns = load_ns;
     rec.trace.total_ns = load_ns;
     rec.trace.route = "artifact-store-load";
     slow_log_.Push(std::move(rec));

@@ -163,11 +163,6 @@ struct SatRequest {
   /// — it does not wait for a worker. A request that starts in time runs to
   /// completion. 0 disables the cap.
   int64_t deadline_ms = 0;
-  /// Transport framing decode cost for this request (nanoseconds), stamped
-  /// by the serving layer before Submit. Copied into the response's
-  /// RequestTrace so wire overhead shows up next to the engine spans; 0 for
-  /// in-process callers.
-  uint64_t wire_decode_ns = 0;
 };
 
 /// One response.
@@ -181,11 +176,10 @@ struct SatResponse {
   bool query_cache_hit = false;
   /// True when the verdict came from the memo (deciders never ran).
   bool memo_hit = false;
-  /// Decision time in microseconds (excludes queue wait; ~0 on memo hits).
-  double elapsed_us = 0.0;
   /// Per-phase span breakdown and the dispatch route that produced the
   /// verdict ("memo-hit" when the deciders never ran). Spans for phases the
-  /// request skipped are 0.
+  /// request skipped are 0; trace.decide_ns is the decision time (excludes
+  /// queue wait; 0 on memo hits).
   obs::RequestTrace trace;
 };
 
@@ -536,7 +530,6 @@ class SatEngine {
   obs::MetricsRegistry metrics_;
   obs::RouteCounters route_counters_;
   obs::SlowQueryLog slow_log_;
-  obs::Histogram* hist_wire_decode_ns_ = nullptr;
   obs::Histogram* hist_queue_ns_ = nullptr;
   obs::Histogram* hist_parse_ns_ = nullptr;
   obs::Histogram* hist_rewrite_ns_ = nullptr;

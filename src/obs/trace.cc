@@ -41,13 +41,10 @@ std::string RenderSlowJson(const SlowQueryLog::Drained& drained) {
        << ", \"dtd_fingerprint\": " << r.dtd_fingerprint
        << ", \"query\": \"" << JsonEscape(r.query) << '"'
        << ", \"route\": \"" << JsonEscape(r.trace.route) << '"'
-       << ", \"wire_decode_ns\": " << r.trace.wire_decode_ns
        << ", \"queue_ns\": " << r.trace.queue_ns
        << ", \"parse_ns\": " << r.trace.parse_ns
-       << ", \"compile_ns\": " << r.trace.compile_ns
        << ", \"rewrite_ns\": " << r.trace.rewrite_ns
        << ", \"decide_ns\": " << r.trace.decide_ns
-       << ", \"store_load_ns\": " << r.trace.store_load_ns
        << ", \"total_ns\": " << r.trace.total_ns << '}';
     first = false;
   }

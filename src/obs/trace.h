@@ -22,17 +22,13 @@ namespace xpathsat {
 namespace obs {
 
 /// Per-phase span breakdown, all in nanoseconds. Spans a phase never entered
-/// stay 0: memo hits record no compile/rewrite/decide time, and DTD
-/// compilation happens at RegisterDtd time (pinned artifacts), so
-/// compile_ns is nonzero only for requests that compiled inline.
+/// stay 0: memo hits record no rewrite/decide time. DTD compilation happens
+/// at RegisterDtd time (pinned artifacts), so it is never a request span.
 struct RequestTrace {
-  uint64_t wire_decode_ns = 0;  ///< transport framing decode (0 off the wire)
   uint64_t queue_ns = 0;    ///< Submit() to worker pickup
   uint64_t parse_ns = 0;    ///< parse + canonicalize + feature detection (0 on query-cache hit)
-  uint64_t compile_ns = 0;  ///< DTD artifact compilation on the request path
   uint64_t rewrite_ns = 0;  ///< Prop 3.3 rewrite work (0 on rewrite-cache hit)
   uint64_t decide_ns = 0;   ///< dispatch + decider execution
-  uint64_t store_load_ns = 0;  ///< artifact-store snapshot load (warm restart); 0 on requests
   uint64_t total_ns = 0;    ///< Submit() to fulfilment
   /// Dispatch-table cell that produced the verdict (SatReport::algorithm),
   /// or one of the synthetic routes "memo-hit" / "cancelled" / "deadline" /

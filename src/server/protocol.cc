@@ -114,8 +114,9 @@ ParseResult ParseCommandLine(const std::string& line) {
   } else if (verb_text == "hello") {
     cmd.verb = Verb::kHello;
     // Zero or more feature tokens, each `batch` or `binary`, no repeats.
-    // The canonical form preserves request order (`hello binary batch`
-    // round-trips as-is).
+    // `binary` stays parseable so older clients that ask for it are declined
+    // rather than rejected. The canonical form preserves request order
+    // (`hello binary batch` round-trips as-is).
     bool saw_batch = false;
     bool saw_binary = false;
     for (;;) {
@@ -286,19 +287,6 @@ std::string FormatBatchDone(uint64_t seq) {
   return "ok batch " + std::to_string(seq) + " done";
 }
 
-std::string EncodeFrame(const std::string& payload) {
-  std::string frame;
-  frame.reserve(payload.size() + 5);
-  frame.push_back('\0');
-  const uint32_t n = static_cast<uint32_t>(payload.size());
-  frame.push_back(static_cast<char>((n >> 24) & 0xff));
-  frame.push_back(static_cast<char>((n >> 16) & 0xff));
-  frame.push_back(static_cast<char>((n >> 8) & 0xff));
-  frame.push_back(static_cast<char>(n & 0xff));
-  frame += payload;
-  return frame;
-}
-
 std::string FormatResultLine(uint64_t ticket_id, const std::string& query,
                              const SatResponse& response) {
   char head[32];
@@ -309,7 +297,8 @@ std::string FormatResultLine(uint64_t ticket_id, const std::string& query,
     return head + query + " -- " + response.status.message();
   }
   char tail[64];
-  std::snprintf(tail, sizeof(tail), " %.1fus", response.elapsed_us);
+  std::snprintf(tail, sizeof(tail), " %.1fus",
+                static_cast<double>(response.trace.decide_ns) / 1000.0);
   return head + query + " -- " + response.report.algorithm + tail +
          (response.query_cache_hit ? " q-cached" : "") +
          (response.memo_hit ? " memo" : "");

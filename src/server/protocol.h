@@ -14,6 +14,8 @@
 //                       stats object needs auth (or no secret configured)
 //   hello [FEATURE...]  negotiate optional wire features; FEATURE is `batch`
 //                       and/or `binary`. The reply names what was granted
+//                       (`binary` is accepted for compatibility and always
+//                       declined: text lines are the only request framing)
 //   dtd NAME PATH       register the DTD file at PATH under NAME
 //   query NAME XPATH    submit XPATH against NAME (alias: q)
 //   batch N             (needs `hello batch`) the next N lines are query/q
@@ -42,9 +44,7 @@
 //   ok cancel ID               ok flush           ok quit
 //   ok auth                    auth accepted
 //   ok hello [FEATURE...]      negotiation reply listing exactly the granted
-//                              features (`binary` is granted only on
-//                              transports that can carry frames — the socket
-//                              server, not --serve's stdin)
+//                              features (never `binary`)
 //   ok batch SEQ ids ID...     batch accepted: all N members submitted; the
 //                              N ticket ids, in member order. SEQ is a
 //                              per-session batch number
@@ -73,14 +73,7 @@
 //                              dtd-parse, io, auth-required, bad-auth,
 //                              busy, throttled, idle-timeout,
 //                              store-corrupt, store-version,
-//                              batch-mismatch, bad-frame)
-//
-// Binary framing (negotiated with `hello binary`): a request may arrive as a
-// length-prefixed frame [0x00][u32 length, big-endian][payload] instead of a
-// newline-terminated line; the payload is one request line without its
-// newline. Replies are always text lines. A frame before negotiation, a
-// declared length over kMaxLineBytes, or a frame truncated by EOF answers
-// `err bad-frame` and closes the connection (a binary stream cannot resync).
+//                              batch-mismatch)
 //
 // Malformed input (unknown verb, missing argument, oversized line) always
 // answers with an `err` line and keeps the session alive — nothing is
@@ -180,8 +173,8 @@ std::string FormatDtdAck(const std::string& name, uint64_t fingerprint);
 /// the id a later `cancel` addresses and the tag on the result line.
 std::string FormatQueryAck(uint64_t ticket_id);
 
-/// `ok hello` / `ok hello batch binary` — exactly the granted features, in
-/// the order they were requested.
+/// `ok hello` / `ok hello batch` — exactly the granted features, in the
+/// order they were requested.
 std::string FormatHelloAck(const std::string& granted);
 
 /// `ok batch SEQ ids ID...` — every member's engine ticket id, member order.
@@ -189,12 +182,6 @@ std::string FormatBatchAck(uint64_t seq, const std::vector<uint64_t>& ids);
 
 /// `ok batch SEQ done` — the post-last-result barrier line.
 std::string FormatBatchDone(uint64_t seq);
-
-/// Wraps one request line into a binary frame:
-/// [0x00][u32 length, big-endian][payload]. The shared encoder for clients;
-/// the decoder lives in net::LineDecoder. `payload` must not exceed
-/// kMaxLineBytes (enforced by the caller; the server answers bad-frame).
-std::string EncodeFrame(const std::string& payload);
 
 /// `ID [verdict] XPATH -- algorithm elapsed-us [q-cached] [memo]`, or
 /// `ID [error  ] XPATH -- message` when the response failed.

@@ -67,26 +67,12 @@ void ServerSession::Drain() {
 }
 
 bool ServerSession::HandleLine(const std::string& line) {
-  return HandleWire(line, /*binary_frame=*/false, /*decode_ns=*/0);
-}
-
-bool ServerSession::HandleWire(const std::string& payload, bool binary_frame,
-                               uint64_t decode_ns) {
   if (closed_) return false;
-  if (binary_frame && !binary_granted_) {
-    // A frame before (or without) `hello binary` is a framing violation;
-    // close rather than guess where the peer's stream state is.
-    EmitError("bad-frame",
-              "binary framing not negotiated; send `hello binary` first");
-    closed_ = true;
-    return false;
-  }
-  current_decode_ns_ = decode_ns;
-  protocol::ParseResult parsed = protocol::ParseCommandLine(payload);
+  protocol::ParseResult parsed = protocol::ParseCommandLine(line);
   if (batch_ != nullptr) {
-    // Mid-batch, every payload is a member (validated, buffered, never
+    // Mid-batch, every line is a member (validated, buffered, never
     // dispatched yet) until all `expected` have been consumed.
-    CollectBatchMember(parsed, decode_ns);
+    CollectBatchMember(parsed);
     return !closed_;
   }
   switch (parsed.status) {
@@ -115,8 +101,7 @@ void ServerSession::OnInputClosed() {
   batch_.reset();
 }
 
-void ServerSession::CollectBatchMember(const protocol::ParseResult& parsed,
-                                       uint64_t decode_ns) {
+void ServerSession::CollectBatchMember(const protocol::ParseResult& parsed) {
   using protocol::ParseStatus;
   using protocol::Verb;
   switch (parsed.status) {
@@ -141,7 +126,6 @@ void ServerSession::CollectBatchMember(const protocol::ParseResult& parsed,
         }
       } else if (!batch_->poisoned) {
         batch_->members.push_back(parsed.command);
-        batch_->member_decode_ns.push_back(decode_ns);
       }
       break;
   }
@@ -194,7 +178,6 @@ void ServerSession::DispatchBatch() {
     request.dtd = schemas_.find(member.name)->second;
     request.deadline_ms = options_.deadline_ms;
     request.options.compute_witness = options_.compute_witness;
-    request.wire_decode_ns = batch->member_decode_ns[i];
     tickets.push_back(engine_->Submit(std::move(request)));
     ids.push_back(tickets.back().id());
     ++queries_submitted_;
@@ -286,27 +269,13 @@ void ServerSession::HandleCommand(const protocol::Command& command) {
                                engine_->live_dtd_handles())));
       return;
     case Verb::kHello: {
-      // Grant exactly what this transport supports, echoing in request
-      // order; a feature missing from the reply was declined. Repeat hellos
-      // are fine (grants are sticky once given).
-      std::string granted;
-      std::string rest = command.arg;
-      size_t pos = 0;
-      while (pos < rest.size()) {
-        size_t space = rest.find(' ', pos);
-        if (space == std::string::npos) space = rest.size();
-        const std::string feature = rest.substr(pos, space - pos);
-        pos = space + 1;
-        if (feature == "batch") {
-          batch_granted_ = true;
-        } else if (feature == "binary") {
-          if (!options_.binary_frames_supported) continue;
-          binary_granted_ = true;
-        }
-        if (!granted.empty()) granted += ' ';
-        granted += feature;
-      }
-      shared_->sink(protocol::FormatHelloAck(granted));
+      // `batch` is the one grantable feature; `binary` is always declined
+      // (text lines are the only request framing), and a feature missing
+      // from the reply was declined. The parser admits only those two
+      // tokens. Repeat hellos are fine (the grant is sticky once given).
+      const bool batch = command.arg.find("batch") != std::string::npos;
+      if (batch) batch_granted_ = true;
+      shared_->sink(protocol::FormatHelloAck(batch ? "batch" : ""));
       return;
     }
     case Verb::kBatch: {
@@ -376,7 +345,6 @@ void ServerSession::HandleCommand(const protocol::Command& command) {
       request.dtd = it->second;
       request.deadline_ms = options_.deadline_ms;
       request.options.compute_witness = options_.compute_witness;
-      request.wire_decode_ns = current_decode_ns_;
       SatTicket ticket = engine_->Submit(std::move(request));
       const uint64_t id = ticket.id();
       ++queries_submitted_;

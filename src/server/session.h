@@ -73,10 +73,6 @@ struct SessionOptions {
   /// Producer for the `metrics prom` multi-line text exposition (must end
   /// with a "# EOF" line). Same fallback/injection split as metrics_json.
   std::function<std::string()> metrics_prom;
-  /// Whether the transport can deliver length-prefixed binary frames (the
-  /// socket server's reactor decoder can; --serve's stdin LineReader
-  /// cannot). `hello binary` is granted only when set.
-  bool binary_frames_supported = false;
 };
 
 class ServerSession {
@@ -97,15 +93,6 @@ class ServerSession {
   /// Returns false when the session is over (quit); the caller should stop
   /// feeding lines and let the session drain.
   bool HandleLine(const std::string& line);
-
-  /// Full-control variant of HandleLine for transports that frame payloads
-  /// themselves: `binary_frame` marks a payload that arrived as a
-  /// length-prefixed binary frame (rejected with `err bad-frame` — and the
-  /// session closes — unless the client negotiated `hello binary` first);
-  /// `decode_ns` is the transport's framing-decode cost for this payload,
-  /// stamped onto submitted requests as the trace's wire-decode span.
-  bool HandleWire(const std::string& payload, bool binary_frame,
-                  uint64_t decode_ns);
 
   /// Tells the session its input stream ended (EOF/teardown) with no
   /// further lines coming. A batch still collecting members answers one
@@ -136,12 +123,10 @@ class ServerSession {
     bool poisoned = false;  // a member failed validation; swallow the rest
     std::string error;      // first violation, for the batch-mismatch detail
     std::vector<protocol::Command> members;
-    std::vector<uint64_t> member_decode_ns;
   };
 
   void HandleCommand(const protocol::Command& command);
-  void CollectBatchMember(const protocol::ParseResult& parsed,
-                          uint64_t decode_ns);
+  void CollectBatchMember(const protocol::ParseResult& parsed);
   void DispatchBatch();
 
   SatEngine* engine_;
@@ -151,14 +136,9 @@ class ServerSession {
   uint64_t queries_submitted_ = 0;
   bool closed_ = false;
   bool authed_ = false;  // vacuously true when no secret is configured
-  // `hello` grants (both false until negotiated).
-  bool batch_granted_ = false;
-  bool binary_granted_ = false;
+  bool batch_granted_ = false;  // `hello batch` negotiated
   uint64_t next_batch_seq_ = 1;
   std::unique_ptr<PendingBatch> batch_;  // non-null while collecting members
-  // Wire-decode span of the payload currently in HandleWire, stamped onto
-  // the request(s) it submits.
-  uint64_t current_decode_ns_ = 0;
 };
 
 }  // namespace server

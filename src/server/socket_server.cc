@@ -397,10 +397,6 @@ void SocketServer::AdmitConnection(net::ScopedFd fd, bool is_tcp,
 
   SessionOptions session_opt = options_.session;
   session_opt.auth_secret = options_.auth_secret;
-  // The reactor's decoder understands length-prefixed frames, so sessions
-  // over this transport may grant `hello binary`.
-  session_opt.binary_frames_supported = true;
-  conn->decoder.set_allow_binary(true);
   session_opt.health_json = [this] { return HealthJson(); };
   // `stats` answers the same merged object as `health` — one source of
   // truth, so the two verbs can never disagree on fields.
@@ -496,38 +492,17 @@ void SocketServer::ReadReady(const std::shared_ptr<Connection>& conn) {
     util::MutexLock lock(conn->work_mu);
     std::string line;
     for (;;) {
-      // Per-payload framing cost, measured around the decode step alone and
-      // carried with the payload into the request trace's wire-decode span.
-      const int64_t decode_start = NowNs();
       net::LineDecoder::Event ev = conn->decoder.Next(&line);
-      const uint64_t decode_ns =
-          static_cast<uint64_t>(NowNs() - decode_start);
-      if (ev == net::LineDecoder::Event::kLine ||
-          ev == net::LineDecoder::Event::kOversized ||
-          ev == net::LineDecoder::Event::kFrame) {
-        Connection::PendingLine entry;
-        entry.text = std::move(line);
-        entry.oversized = ev == net::LineDecoder::Event::kOversized;
-        entry.binary = ev == net::LineDecoder::Event::kFrame;
-        entry.decode_ns = decode_ns;
-        conn->pending_bytes += entry.text.size();
-        conn->pending.push_back(std::move(entry));
-        line.clear();
-        continue;
+      if (ev != net::LineDecoder::Event::kLine &&
+          ev != net::LineDecoder::Event::kOversized) {
+        break;  // kNone (need more input) or kEof (handled below)
       }
-      if (ev == net::LineDecoder::Event::kBadFrame) {
-        // Unresyncable: hand the worker one final bad-frame entry (it
-        // answers `err bad-frame`), stop reading this connection for good.
-        Connection::PendingLine entry;
-        entry.text = std::move(line);
-        entry.bad_frame = true;
-        conn->pending.push_back(std::move(entry));
-        line.clear();
-        saw_error = true;
-        conn->decoder.SignalEof();
-        break;
-      }
-      break;  // kNone (need more input) or kEof (handled below)
+      Connection::PendingLine entry;
+      entry.text = std::move(line);
+      entry.oversized = ev == net::LineDecoder::Event::kOversized;
+      conn->pending_bytes += entry.text.size();
+      conn->pending.push_back(std::move(entry));
+      line.clear();
     }
     if (saw_eof || saw_error) {
       conn->input_closed = true;
@@ -684,16 +659,8 @@ void SocketServer::ProcessConnection(const std::shared_ptr<Connection>& conn) {
           "oversized-line",
           "line exceeds " + std::to_string(options_.max_line_bytes) +
               " bytes; discarded");
-    } else if (line.bad_frame) {
-      // The reactor already stopped reading (binary framing cannot resync);
-      // answer the structured error and fall through to teardown via the
-      // input_closed it latched.
-      conn->session->EmitError("bad-frame", line.text + "; closing");
-      open = false;
-      break;
     } else {
-      open = conn->session->HandleWire(line.text, line.binary,
-                                       line.decode_ns);
+      open = conn->session->HandleLine(line.text);
       if (!open) break;  // quit / bad-auth: drop any lines queued behind it
     }
   }

@@ -194,16 +194,6 @@ class SocketServer {
     struct PendingLine {
       std::string text;
       bool oversized = false;
-      // Payload arrived as a length-prefixed binary frame (the session
-      // enforces that `hello binary` was negotiated).
-      bool binary = false;
-      // Malformed binary frame: `text` holds the decoder's detail message;
-      // the worker answers `err bad-frame` and the connection closes (a
-      // binary stream cannot resync).
-      bool bad_frame = false;
-      // Reactor-measured framing-decode cost for this payload, stamped
-      // into the request trace as the wire-decode span.
-      uint64_t decode_ns = 0;
     };
 
     // When the connection's current worker-queue token was pushed; read by

@@ -243,48 +243,6 @@ Status WriteAll(int fd, const std::string& data) {
 
 LineDecoder::Event LineDecoder::Next(std::string* line) {
   for (;;) {
-    // Binary frames are detected at event boundaries only: a 0x00 marker at
-    // the front of the buffer (never mid-line, and never while discarding an
-    // oversized text line, where buffer_[0] is oversized-line tail).
-    if (allow_binary_ && !discarding_ && !buffer_.empty() &&
-        buffer_[0] == kFrameMarker) {
-      if (buffer_.size() >= kFrameHeaderBytes) {
-        const uint32_t declared =
-            (static_cast<uint32_t>(static_cast<unsigned char>(buffer_[1]))
-             << 24) |
-            (static_cast<uint32_t>(static_cast<unsigned char>(buffer_[2]))
-             << 16) |
-            (static_cast<uint32_t>(static_cast<unsigned char>(buffer_[3]))
-             << 8) |
-            static_cast<uint32_t>(static_cast<unsigned char>(buffer_[4]));
-        if (declared > max_line_bytes_) {
-          *line = "frame declares " + std::to_string(declared) +
-                  " bytes (max " + std::to_string(max_line_bytes_) + ")";
-          buffer_.clear();
-          scanned_ = 0;
-          return Event::kBadFrame;
-        }
-        if (buffer_.size() >= kFrameHeaderBytes + declared) {
-          *line = buffer_.substr(kFrameHeaderBytes, declared);
-          buffer_.erase(0, kFrameHeaderBytes + declared);
-          scanned_ = 0;
-          return Event::kFrame;
-        }
-      }
-      if (eof_) {
-        *line = "frame truncated by EOF (" + std::to_string(buffer_.size()) +
-                " of " +
-                (buffer_.size() < kFrameHeaderBytes
-                     ? std::string("at least ") +
-                           std::to_string(kFrameHeaderBytes)
-                     : std::to_string(kFrameHeaderBytes) + "+payload") +
-                " bytes buffered)";
-        buffer_.clear();
-        scanned_ = 0;
-        return Event::kBadFrame;
-      }
-      return Event::kNone;  // partial header or payload: feed more bytes
-    }
     // Consume what the buffer already holds.
     size_t nl = buffer_.find('\n', scanned_);
     if (nl != std::string::npos) {
@@ -350,13 +308,9 @@ LineReader::Event LineReader::ReadLine(std::string* line, std::string* error) {
   for (;;) {
     switch (decoder_.Next(line)) {
       case LineDecoder::Event::kLine:
-      case LineDecoder::Event::kFrame:  // unreachable: binary stays off here
         return Event::kLine;
       case LineDecoder::Event::kOversized:
         return Event::kOversized;
-      case LineDecoder::Event::kBadFrame:  // unreachable: binary stays off
-        *error = *line;
-        return Event::kError;
       case LineDecoder::Event::kEof:
         return Event::kEof;
       case LineDecoder::Event::kNone:

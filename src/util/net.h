@@ -119,16 +119,6 @@ Status WriteAllWith(const std::function<ssize_t(const char*, size_t)>& send_fn,
 /// CR-LF terminator's '\r' is part of the terminator, not the line, so CR-LF
 /// clients get the same budget as LF clients. After SignalEof, any
 /// unterminated tail is returned first as a kLine, then kEof.
-///
-/// With set_allow_binary(true) the decoder also recognizes length-prefixed
-/// binary frames interleaved with text lines: a payload byte sequence
-/// [0x00][u32 length, big-endian][length bytes]. The marker byte 0x00 can
-/// never start a valid text command, so detection at an event boundary is
-/// unambiguous. Frame payloads are returned verbatim (no '\n'/'\r'
-/// stripping) as kFrame. A frame whose declared length exceeds
-/// max_line_bytes, or that is truncated by EOF, is kBadFrame — unlike an
-/// oversized text line there is no newline to resync on, so callers must
-/// treat kBadFrame as fatal for the stream.
 class LineDecoder {
  public:
   enum class Event {
@@ -136,14 +126,7 @@ class LineDecoder {
     kLine,       // *line holds the next line ('\n' stripped, '\r' too)
     kOversized,  // a too-long line was discarded; *line holds a prefix
     kEof,        // clean end of stream
-    kFrame,      // *line holds a binary frame payload (allow_binary only)
-    kBadFrame,   // malformed binary frame; *line holds a detail message.
-                 // The stream cannot be resynced — stop feeding.
   };
-
-  /// Binary frame marker + header size: [0x00][u32 big-endian length].
-  static constexpr char kFrameMarker = '\0';
-  static constexpr size_t kFrameHeaderBytes = 5;
 
   explicit LineDecoder(size_t max_line_bytes)
       : max_line_bytes_(max_line_bytes) {}
@@ -152,10 +135,6 @@ class LineDecoder {
     buffer_.append(data, size);
   }
   void SignalEof() { eof_ = true; }
-
-  /// Opts in to binary frame decoding (off by default: a 0x00 byte in a
-  /// text-only stream is just line content).
-  void set_allow_binary(bool allow) { allow_binary_ = allow; }
 
   /// Returns the next buffered event; kNone means more input is needed.
   /// `line` must be non-null.
@@ -171,7 +150,6 @@ class LineDecoder {
   size_t scanned_ = 0;   // prefix of buffer_ known to contain no '\n'
   bool discarding_ = false;
   bool eof_ = false;
-  bool allow_binary_ = false;
 };
 
 /// Buffered newline-delimited reader with a hard per-line byte cap: a

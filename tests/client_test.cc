@@ -1,7 +1,7 @@
 // client::Client against a live SocketServer: connect/auth/negotiate,
 // many multiplexed in-flight tickets correlated by id, batch submission
 // under the server barrier (and the per-query fallback when batch was not
-// granted), binary framing, and the latched transport-failure surface.
+// granted), and the latched transport-failure surface.
 // Everything runs in process so the ASan/TSan CI jobs see every thread.
 #include "src/client/client.h"
 
@@ -98,12 +98,10 @@ TEST(ClientTest, ConnectAuthenticatesAndNegotiates) {
     copt.target = "unix:" + opt.unix_path;
     copt.auth_secret = "open sesame";
     copt.negotiate_batch = true;
-    copt.negotiate_binary = true;
     Result<std::unique_ptr<Client>> ok = Client::Connect(copt);
     ASSERT_TRUE(ok.ok()) << ok.error();
     Client& client = *ok.value();
     EXPECT_TRUE(client.batch_granted());
-    EXPECT_TRUE(client.binary_granted());
     EXPECT_TRUE(client.transport_status().ok());
     // Call returns err lines verbatim (they are replies, not transport
     // failures).
@@ -111,6 +109,31 @@ TEST(ClientTest, ConnectAuthenticatesAndNegotiates) {
     ASSERT_TRUE(reply.ok()) << reply.error();
     EXPECT_EQ(reply.value().rfind("err unknown-dtd", 0), 0u) << reply.value();
   }
+  server.Stop();
+}
+
+TEST(ClientTest, HelloBinaryIsDeclinedWithNoGrant) {
+  SatEngine engine;
+  server::SocketServerOptions opt;
+  opt.unix_path = SocketPath("hello");
+  server::SocketServer server(&engine, opt);
+  ASSERT_TRUE(server.Start().ok());
+
+  ClientOptions copt;
+  copt.target = "unix:" + opt.unix_path;
+  Result<std::unique_ptr<Client>> conn = Client::Connect(copt);
+  ASSERT_TRUE(conn.ok()) << conn.error();
+  Client& client = *conn.value();
+  // Older clients still ask for binary frames: a valid request, answered
+  // with no grant.
+  Result<std::string> reply = client.Call("hello binary");
+  ASSERT_TRUE(reply.ok()) << reply.error();
+  EXPECT_EQ(reply.value(), "ok hello");
+  EXPECT_FALSE(client.batch_granted());
+  // The connection keeps serving text lines.
+  reply = client.Call("stats");
+  ASSERT_TRUE(reply.ok()) << reply.error();
+  EXPECT_EQ(reply.value().rfind("stats {", 0), 0u) << reply.value();
   server.Stop();
 }
 
@@ -184,12 +207,10 @@ TEST(ClientTest, SubmitBatchRidesTheServerBarrier) {
   ClientOptions copt;
   copt.target = "unix:" + opt.unix_path;
   copt.negotiate_batch = true;
-  copt.negotiate_binary = true;
   Result<std::unique_ptr<Client>> conn = Client::Connect(copt);
   ASSERT_TRUE(conn.ok()) << conn.error();
   Client& client = *conn.value();
   ASSERT_TRUE(client.batch_granted());
-  ASSERT_TRUE(client.binary_granted());
   ASSERT_TRUE(client.Call("dtd cat " + dtd_path).ok());
 
   std::vector<std::string> queries;

@@ -291,80 +291,8 @@ TEST(LineDecoderTest, UnterminatedEofTailWithCrGetsTheFullCap) {
   }
 }
 
-// --- LineDecoder binary frames ----------------------------------------------
-
-std::string Frame(const std::string& payload) {
-  std::string frame(1, LineDecoder::kFrameMarker);
-  const uint32_t n = static_cast<uint32_t>(payload.size());
-  frame.push_back(static_cast<char>((n >> 24) & 0xff));
-  frame.push_back(static_cast<char>((n >> 16) & 0xff));
-  frame.push_back(static_cast<char>((n >> 8) & 0xff));
-  frame.push_back(static_cast<char>(n & 0xff));
-  frame += payload;
-  return frame;
-}
-
-TEST(LineDecoderTest, BinaryFramesInterleaveWithTextLines) {
-  LineDecoder decoder(/*max_line_bytes=*/64);
-  decoder.set_allow_binary(true);
-  const std::string input =
-      "text one\n" + Frame("query d q1") + Frame("") + "text two\r\n";
-  // Byte-by-byte feed exercises partial headers and partial payloads.
-  std::vector<std::pair<LineDecoder::Event, std::string>> events;
-  for (char b : input) {
-    decoder.Feed(&b, 1);
-    auto drained = DrainAll(&decoder);
-    events.insert(events.end(), drained.begin(), drained.end());
-  }
-  ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(events[0].first, LineDecoder::Event::kLine);
-  EXPECT_EQ(events[0].second, "text one");
-  EXPECT_EQ(events[1].first, LineDecoder::Event::kFrame);
-  EXPECT_EQ(events[1].second, "query d q1");
-  EXPECT_EQ(events[2].first, LineDecoder::Event::kFrame);
-  EXPECT_EQ(events[2].second, "");
-  EXPECT_EQ(events[3].first, LineDecoder::Event::kLine);
-  EXPECT_EQ(events[3].second, "text two");
-}
-
-TEST(LineDecoderTest, FramePayloadIsVerbatimIncludingNewlinesAndNuls) {
-  LineDecoder decoder(/*max_line_bytes=*/64);
-  decoder.set_allow_binary(true);
-  const std::string payload = std::string("a\nb\r\n\0c", 7);
-  const std::string input = Frame(payload);
-  decoder.Feed(input.data(), input.size());
-  auto events = DrainAll(&decoder);
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].first, LineDecoder::Event::kFrame);
-  EXPECT_EQ(events[0].second, payload);
-}
-
-TEST(LineDecoderTest, FrameDeclaringMoreThanMaxLineBytesIsBadFrame) {
-  LineDecoder decoder(/*max_line_bytes=*/64);
-  decoder.set_allow_binary(true);
-  std::string header(1, LineDecoder::kFrameMarker);
-  header += std::string("\xff\xff\xff\xff", 4);  // 4 GiB declared
-  decoder.Feed(header.data(), header.size());
-  std::string out;
-  EXPECT_EQ(decoder.Next(&out), LineDecoder::Event::kBadFrame);
-  EXPECT_NE(out.find("4294967295"), std::string::npos) << out;
-}
-
-TEST(LineDecoderTest, FrameTruncatedByEofIsBadFrameNotAHang) {
-  // Truncated mid-header and truncated mid-payload.
-  for (size_t keep : {1u, 3u, 7u}) {
-    LineDecoder decoder(/*max_line_bytes=*/64);
-    decoder.set_allow_binary(true);
-    const std::string frame = Frame("payload");
-    decoder.Feed(frame.data(), std::min(keep, frame.size()));
-    std::string out;
-    EXPECT_EQ(decoder.Next(&out), LineDecoder::Event::kNone);
-    decoder.SignalEof();
-    EXPECT_EQ(decoder.Next(&out), LineDecoder::Event::kBadFrame) << keep;
-  }
-}
-
-TEST(LineDecoderTest, WithoutOptInAMarkerByteIsJustLineContent) {
+// A NUL byte carries no framing meaning: it is ordinary line content.
+TEST(LineDecoderTest, ANulByteIsJustLineContent) {
   LineDecoder decoder(/*max_line_bytes=*/64);
   const std::string input = std::string("\0abc\n", 5);
   decoder.Feed(input.data(), input.size());
@@ -372,6 +300,74 @@ TEST(LineDecoderTest, WithoutOptInAMarkerByteIsJustLineContent) {
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].first, LineDecoder::Event::kLine);
   EXPECT_EQ(events[0].second, std::string("\0abc", 4));
+}
+
+// NUL and '\r' bytes mid-line are content; only '\n' delimits. Bytes that
+// once formed a length-prefixed payload split at their newlines like any
+// other input, whether fed at once or byte by byte.
+TEST(LineDecoderTest, NulAndCrBytesMidLineAreVerbatimContent) {
+  const std::string input = std::string("a\0b\rc\na\nb\r\n\0c\n", 15);
+  for (bool bytewise : {false, true}) {
+    LineDecoder decoder(/*max_line_bytes=*/64);
+    std::vector<std::pair<LineDecoder::Event, std::string>> events;
+    if (bytewise) {
+      for (char b : input) {
+        decoder.Feed(&b, 1);
+        auto drained = DrainAll(&decoder);
+        events.insert(events.end(), drained.begin(), drained.end());
+      }
+    } else {
+      decoder.Feed(input.data(), input.size());
+      events = DrainAll(&decoder);
+    }
+    ASSERT_EQ(events.size(), 4u) << bytewise;
+    for (const auto& event : events) {
+      EXPECT_EQ(event.first, LineDecoder::Event::kLine) << bytewise;
+    }
+    EXPECT_EQ(events[0].second, std::string("a\0b\rc", 5));
+    EXPECT_EQ(events[1].second, "a");
+    EXPECT_EQ(events[2].second, "b");
+    EXPECT_EQ(events[3].second, std::string("\0c", 2));
+  }
+}
+
+// A leading 0x00 followed by a 4 GiB big-endian length is not a promise of
+// 4 GiB: the per-line cap bounds what is buffered, the over-long line is
+// discarded through its newline, and the stream stays usable.
+TEST(LineDecoderTest, HugeLengthHeaderBytesAreBoundedByTheLineCap) {
+  LineDecoder decoder(/*max_line_bytes=*/64);
+  const std::string header("\0\xff\xff\xff\xff", 5);
+  decoder.Feed(header.data(), header.size());
+  std::string out;
+  EXPECT_EQ(decoder.Next(&out), LineDecoder::Event::kNone);
+  const std::string body(200, 'x');
+  decoder.Feed(body.data(), body.size());
+  EXPECT_EQ(decoder.Next(&out), LineDecoder::Event::kOversized);
+  EXPECT_LE(decoder.buffered_bytes(), 64u + body.size());
+  const std::string rest = "more\nstats\n";
+  decoder.Feed(rest.data(), rest.size());
+  auto events = DrainAll(&decoder);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].first, LineDecoder::Event::kLine);
+  EXPECT_EQ(events[0].second, "stats");
+}
+
+// A NUL-leading tail cut off by EOF — at any length — is returned as an
+// unterminated line, then kEof: never held back waiting for more bytes.
+TEST(LineDecoderTest, NulLeadingTailAtEofIsAnUnterminatedLine) {
+  const std::string bytes = std::string("\0\0\0\0\x07payload", 12);
+  for (size_t keep : {1u, 3u, 7u}) {
+    LineDecoder decoder(/*max_line_bytes=*/64);
+    decoder.Feed(bytes.data(), keep);
+    std::string out;
+    EXPECT_EQ(decoder.Next(&out), LineDecoder::Event::kNone) << keep;
+    decoder.SignalEof();
+    auto events = DrainAll(&decoder);
+    ASSERT_EQ(events.size(), 2u) << keep;
+    EXPECT_EQ(events[0].first, LineDecoder::Event::kLine) << keep;
+    EXPECT_EQ(events[0].second, bytes.substr(0, keep));
+    EXPECT_EQ(events[1].first, LineDecoder::Event::kEof) << keep;
+  }
 }
 
 // --- LineReader (blocking loop over the decoder) ----------------------------

@@ -112,6 +112,18 @@ TEST(ProtocolParseTest, HelloRejectsUnknownAndDuplicateFeatures) {
   }
 }
 
+// A line that starts with a 0x00 byte has no framing meaning: its first
+// token is just not a verb.
+TEST(ProtocolParseTest, NulLeadingLineIsAnUnknownVerb) {
+  for (const std::string& line :
+       {std::string("\0", 1), std::string("\0\0\0\0\x05stats", 10),
+        std::string("\0stats", 6)}) {
+    ParseResult r = Parse(line);
+    ASSERT_EQ(r.status, ParseStatus::kError) << line.size();
+    EXPECT_EQ(r.error_line.rfind("err unknown-verb", 0), 0u) << r.error_line;
+  }
+}
+
 TEST(ProtocolParseTest, BatchTakesAPositiveBoundedCount) {
   ParseResult one = Parse("batch 1");
   ASSERT_EQ(one.status, ParseStatus::kCommand);
@@ -284,7 +296,7 @@ TEST(ProtocolFormatTest, ResultLineShapes) {
   ok.status = Status::Ok();
   ok.report.decision = SatDecision::SatNoWitness();
   ok.report.algorithm = "reach-dp (Thm 4.1)";
-  ok.elapsed_us = 12.34;
+  ok.trace.decide_ns = 12340;
   ok.query_cache_hit = true;
   ok.memo_hit = true;
   std::string line = FormatResultLine(7, "A/B", ok);
@@ -292,6 +304,8 @@ TEST(ProtocolFormatTest, ResultLineShapes) {
       << line;
   EXPECT_NE(line.find(" q-cached"), std::string::npos);
   EXPECT_NE(line.find(" memo"), std::string::npos);
+  // The elapsed figure is the trace's decide span, in microseconds.
+  EXPECT_EQ(line, "7 [sat    ] A/B -- reach-dp (Thm 4.1) 12.3us q-cached memo");
 
   SatResponse err;
   err.status = Status::Error("query parse error: boom");
@@ -331,22 +345,6 @@ TEST(ProtocolFormatTest, AckShapes) {
   EXPECT_EQ(FormatHelloAck("batch binary"), "ok hello batch binary");
   EXPECT_EQ(FormatBatchAck(3, {7, 8, 9}), "ok batch 3 ids 7 8 9");
   EXPECT_EQ(FormatBatchDone(3), "ok batch 3 done");
-}
-
-TEST(ProtocolFormatTest, EncodeFrameIsMarkerLengthPayload) {
-  std::string frame = EncodeFrame("query a b");
-  ASSERT_EQ(frame.size(), 5u + 9u);
-  EXPECT_EQ(frame[0], '\0');
-  EXPECT_EQ(frame[1], '\0');
-  EXPECT_EQ(frame[2], '\0');
-  EXPECT_EQ(frame[3], '\0');
-  EXPECT_EQ(frame[4], '\x09');
-  EXPECT_EQ(frame.substr(5), "query a b");
-
-  // Lengths above one byte land big-endian in the header.
-  std::string big = EncodeFrame(std::string(0x0102, 'x'));
-  EXPECT_EQ(big[3], '\x01');
-  EXPECT_EQ(big[4], '\x02');
 }
 
 }  // namespace

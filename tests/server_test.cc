@@ -12,6 +12,7 @@
 
 #include <cerrno>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <chrono>
@@ -189,25 +190,18 @@ TEST(ServerSessionTest, CancelStillQueuedTicketById) {
 TEST(ServerSessionTest, HelloGrantsOnlyTransportSupportedFeatures) {
   SatEngine engine;
   auto log = std::make_shared<SinkLog>();
-  {
-    // Default transport (stdin-style): binary is silently not granted.
-    ServerSession session(&engine, SessionOptions{},
-                          [log](const std::string& l) { (*log)(l); });
-    EXPECT_TRUE(session.HandleLine("hello"));
-    EXPECT_TRUE(log->Contains("ok hello"));
-    EXPECT_TRUE(session.HandleLine("hello batch binary"));
-    std::vector<std::string> lines = log->snapshot();
-    EXPECT_EQ(lines.back(), "ok hello batch");
-  }
-  {
-    SessionOptions opt;
-    opt.binary_frames_supported = true;
-    ServerSession session(&engine, opt,
-                          [log](const std::string& l) { (*log)(l); });
-    EXPECT_TRUE(session.HandleLine("hello binary batch"));
-    // The grant echoes the request order.
-    EXPECT_EQ(log->snapshot().back(), "ok hello binary batch");
-  }
+  ServerSession session(&engine, SessionOptions{},
+                        [log](const std::string& l) { (*log)(l); });
+  EXPECT_TRUE(session.HandleLine("hello"));
+  EXPECT_TRUE(log->Contains("ok hello"));
+  // `binary` is still a valid request (older clients send it) and is always
+  // declined: it is simply missing from the reply.
+  EXPECT_TRUE(session.HandleLine("hello batch binary"));
+  EXPECT_EQ(log->snapshot().back(), "ok hello batch");
+  EXPECT_TRUE(session.HandleLine("hello binary batch"));
+  EXPECT_EQ(log->snapshot().back(), "ok hello batch");
+  EXPECT_TRUE(session.HandleLine("hello binary"));
+  EXPECT_EQ(log->snapshot().back(), "ok hello");
 }
 
 TEST(ServerSessionTest, BatchWithoutGrantIsRefusedAndSessionSurvives) {
@@ -349,19 +343,19 @@ TEST(ServerSessionTest, BatchLargerThanInflightCapIsRefusedUpFront) {
   EXPECT_TRUE(log->Contains("stats {"));
 }
 
-TEST(ServerSessionTest, WireFramesRequireNegotiation) {
+TEST(ServerSessionTest, NulLeadingLineIsUnknownVerbAndSessionSurvives) {
   SatEngine engine;
   auto log = std::make_shared<SinkLog>();
-  SessionOptions opt;
-  opt.binary_frames_supported = true;
-  ServerSession session(&engine, opt,
+  ServerSession session(&engine, SessionOptions{},
                         [log](const std::string& l) { (*log)(l); });
-  // A binary-framed payload before `hello binary`: the stream cannot be
-  // trusted any further, so the session closes.
-  EXPECT_FALSE(session.HandleWire("stats", /*binary_frame=*/true, 100));
-  EXPECT_TRUE(log->Contains(
-      "err bad-frame binary framing not negotiated; send `hello binary`"));
-  EXPECT_FALSE(session.HandleLine("stats"));  // closed for good
+  // The bytes an old binary-frame client sends before (or without) `hello
+  // binary`: an ordinary malformed line, not a reason to close.
+  EXPECT_TRUE(session.HandleLine(std::string("\0\0\0\0\x05stats", 10)));
+  EXPECT_EQ(log->snapshot().back().rfind("err unknown-verb", 0), 0u)
+      << log->snapshot().back();
+  EXPECT_TRUE(session.HandleLine("stats"));
+  EXPECT_EQ(log->snapshot().back().rfind("stats {", 0), 0u)
+      << log->snapshot().back();
 }
 
 TEST(ServerSessionTest, MetricsPromForwardsExpositionVerbatim) {
@@ -424,7 +418,7 @@ class TestClient {
     ASSERT_TRUE(s.ok()) << s.message();
   }
 
-  /// Writes raw bytes with no newline appended (binary frame tests).
+  /// Writes raw bytes with no newline appended (unterminated-tail tests).
   void SendBytes(const std::string& bytes) {
     Status s = net::WriteAll(fd_.get(), bytes);
     ASSERT_TRUE(s.ok()) << s.message();
@@ -470,6 +464,40 @@ class TestClient {
 
   std::string WaitFor(const std::string& needle, int64_t timeout_ms = 30000) {
     return WaitForAny({needle}, timeout_ms);
+  }
+
+  /// Blocks until every needle is contained in a distinct reply line at or
+  /// after the consume cursor, in any arrival order — the wait for
+  /// pipelined results, which complete out of submission order. Advances
+  /// the cursor past the last matched line. Fails the test after
+  /// `timeout_ms` or on EOF without a match for every needle.
+  void WaitForAll(const std::vector<std::string>& needles,
+                  int64_t timeout_ms = 30000) {
+    std::unique_lock<std::mutex> lock(mu_);
+    std::vector<bool> found;
+    size_t end = scanned_;
+    cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms), [&] {
+      found.assign(needles.size(), false);
+      std::vector<bool> used(lines_.size(), false);
+      end = scanned_;
+      for (size_t n = 0; n < needles.size(); ++n) {
+        for (size_t i = scanned_; i < lines_.size() && !found[n]; ++i) {
+          if (!used[i] && lines_[i].find(needles[n]) != std::string::npos) {
+            used[i] = true;
+            found[n] = true;
+            end = std::max(end, i + 1);
+          }
+        }
+      }
+      return std::find(found.begin(), found.end(), false) == found.end() ||
+             eof_;
+    });
+    for (size_t n = 0; n < needles.size(); ++n) {
+      EXPECT_TRUE(found[n]) << "no reply containing '" << needles[n]
+                            << "' (got " << lines_.size()
+                            << " lines, eof=" << eof_ << ")";
+    }
+    scanned_ = end;
   }
 
   /// Scans ALL received lines (ignoring the consume cursor).
@@ -721,7 +749,7 @@ TEST(SocketServerTest, MalformedAndOversizedLinesAnswerErrAndKeepGoing) {
   server.Stop();
 }
 
-TEST(SocketServerTest, BatchAndBinaryFramingAcrossTheSocket) {
+TEST(SocketServerTest, BatchFramingAcrossTheSocket) {
   SatEngineOptions eopt;
   eopt.slow_request_ns = 1;  // every request traces: the JSON shape is the
                              // assertion, not actual slowness
@@ -736,81 +764,90 @@ TEST(SocketServerTest, BatchAndBinaryFramingAcrossTheSocket) {
   ASSERT_TRUE(fd.ok()) << fd.error();
   TestClient client(std::move(fd).value());
   client.Send("hello batch binary");
-  // The socket transport supports binary frames, so both are granted.
-  client.WaitFor("ok hello batch binary");
+  // Binary framing does not exist: only batch is granted.
+  EXPECT_EQ(client.WaitFor("ok hello"), "ok hello batch");
   client.Send("dtd cat " + dtd_path);
   client.WaitFor("ok dtd cat");
-  // The whole batch as binary frames in one write — the bulk-client shape.
-  std::string wire = protocol::EncodeFrame("batch 2");
-  wire += protocol::EncodeFrame("query cat section/item");
-  wire += protocol::EncodeFrame("q cat nosuchlabel");
-  client.SendBytes(wire);
+  // The whole batch in one write — the bulk-client shape.
+  client.Send("batch 2\nquery cat section/item\nq cat nosuchlabel");
   client.WaitFor("ok batch 1 ids");
-  client.WaitFor("[sat    ] section/item");
-  client.WaitFor("[unsat  ] nosuchlabel");
-  client.WaitFor("ok batch 1 done");
-  // Text and binary interleave freely after negotiation; wire-decode cost
-  // for framed requests lands in the slow-trace JSON.
+  // Member results complete in either order; the barrier follows both.
+  client.WaitForAll({"[sat    ] section/item", "[unsat  ] nosuchlabel",
+                     "ok batch 1 done"});
   client.Send("slow");
   std::string slow = client.WaitFor("slow {");
-  EXPECT_NE(slow.find("\"wire_decode_ns\":"), std::string::npos) << slow;
+  for (const char* field : {"\"route\": ", "\"queue_ns\": ", "\"parse_ns\": ",
+                            "\"rewrite_ns\": ", "\"decide_ns\": ",
+                            "\"total_ns\": "}) {
+    EXPECT_NE(slow.find(field), std::string::npos) << field << " in " << slow;
+  }
   client.Send("quit");
   client.WaitFor("ok quit");
   server.Stop();
 }
 
-TEST(SocketServerTest, UnNegotiatedBinaryFrameIsFatal) {
+TEST(SocketServerTest, NulLeadingLineIsAnOrdinaryUnknownVerb) {
   SatEngine engine;
   SocketServerOptions opt;
-  opt.unix_path = SocketPath("noneg");
+  opt.unix_path = SocketPath("nul");
   SocketServer server(&engine, opt);
   ASSERT_TRUE(server.Start().ok());
 
   Result<net::ScopedFd> fd = net::ConnectUnix(opt.unix_path);
   ASSERT_TRUE(fd.ok()) << fd.error();
   TestClient client(std::move(fd).value());
-  client.SendBytes(protocol::EncodeFrame("stats"));
-  client.WaitFor("err bad-frame binary framing not negotiated");
+  // What an old binary-frame client would put on the wire: a 0x00 byte, a
+  // length header and a payload. It is one text line like any other.
+  client.Send(std::string("\0\0\0\0\x05stats", 10));
+  client.WaitFor("err unknown-verb");
+  // The session keeps serving the next line.
+  client.Send("stats");
+  client.WaitFor("stats {");
+  client.Send("quit");
+  client.WaitFor("ok quit");
   client.WaitForEof();
   server.Stop();
 }
 
-TEST(SocketServerTest, MalformedFramesAnswerBadFrameAndNeverHang) {
+TEST(SocketServerTest, OldFrameBytesAnswerErrAndNeverHang) {
   SatEngine engine;
   SocketServerOptions opt;
-  opt.unix_path = SocketPath("badframe");
+  opt.unix_path = SocketPath("oldframe");
   opt.max_line_bytes = 1024;
   SocketServer server(&engine, opt);
   ASSERT_TRUE(server.Start().ok());
 
   {
-    // A frame declaring an absurd length: fatal immediately (no buffering
-    // of a 4 GiB "payload", no waiting for bytes that never come).
+    // A 0x00 byte and a 4 GiB length header: the line cap bounds the
+    // buffering, the line is refused, and the connection keeps serving.
     Result<net::ScopedFd> fd = net::ConnectUnix(opt.unix_path);
     ASSERT_TRUE(fd.ok()) << fd.error();
     TestClient client(std::move(fd).value());
     client.Send("hello binary");
-    client.WaitFor("ok hello binary");
-    std::string huge(5, '\0');
-    huge[1] = huge[2] = huge[3] = huge[4] = '\xff';
-    client.SendBytes(huge);
-    std::string err = client.WaitFor("err bad-frame");
-    EXPECT_NE(err.find("4294967295"), std::string::npos) << err;
+    EXPECT_EQ(client.WaitFor("ok hello"), "ok hello");
+    client.Send(std::string("\0\xff\xff\xff\xff", 5) +
+                std::string(2000, 'x'));
+    client.WaitFor("err oversized-line");
+    client.Send("stats");
+    client.WaitFor("stats {");
+    client.Send("quit");
+    client.WaitFor("ok quit");
     client.WaitForEof();
   }
   {
-    // A frame truncated by EOF — mid-header and mid-payload both: the
-    // session answers a structured error and tears down instead of hanging.
+    // Old frame bytes cut off by EOF — mid-header and mid-payload both:
+    // the tail is an unterminated line that answers a structured error,
+    // and the session tears down instead of waiting for more bytes.
+    const std::string bytes = std::string("\0\0\0\0\x05stats", 10);
     for (size_t keep : {1u, 3u, 7u}) {
       Result<net::ScopedFd> fd = net::ConnectUnix(opt.unix_path);
       ASSERT_TRUE(fd.ok()) << fd.error();
       TestClient client(std::move(fd).value());
       client.Send("hello binary");
-      client.WaitFor("ok hello binary");
-      std::string frame = protocol::EncodeFrame("stats");
-      client.SendBytes(frame.substr(0, keep));
+      EXPECT_EQ(client.WaitFor("ok hello"), "ok hello");
+      client.SendBytes(bytes.substr(0, keep));
       client.ShutdownWrites();
-      client.WaitFor("err bad-frame");
+      client.WaitFor("err unknown-verb");
       client.WaitForEof();
     }
   }

@@ -446,7 +446,7 @@ int main(int argc, char** argv) {
     }
     std::printf("[%-7s] %-40s %-32s %9.1fus dtd=%016llx%s%s\n", protocol::VerdictName(r),
                 workload[i].query.c_str(), r.report.algorithm.c_str(),
-                r.elapsed_us,
+                static_cast<double>(r.trace.decide_ns) / 1000.0,
                 static_cast<unsigned long long>(r.dtd_fingerprint),
                 r.query_cache_hit ? " q-cached" : "",
                 r.memo_hit ? " memo" : "");
@@ -503,7 +503,8 @@ int main(int argc, char** argv) {
           << "\", \"verdict\": \"" << protocol::VerdictName(r) << "\", \"algorithm\": \""
           << JsonEscape(r.status.ok() ? r.report.algorithm
                                       : r.status.message())
-          << "\", \"elapsed_us\": " << r.elapsed_us
+          << "\", \"elapsed_us\": "
+          << static_cast<double>(r.trace.decide_ns) / 1000.0
           << ", \"query_cache_hit\": " << (r.query_cache_hit ? "true" : "false")
           << ", \"memo_hit\": " << (r.memo_hit ? "true" : "false")
           << "}" << (i + 1 < last.size() ? "," : "") << "\n";

@@ -22,7 +22,8 @@
 //                        `err idle-timeout ...` (default: never)
 //   --auth-secret S      require `auth S` before any verb except `health`
 //   --metrics-dump-ms M  dump the merged metrics JSON (the `metrics` verb's
-//                        object) to stderr every M ms, one line per dump
+//                        object) to stderr every M ms, one line per dump,
+//                        and once more after the shutdown drain
 //   --warm-from PATH     before listening, warm the engine caches from the
 //                        compiled-artifact snapshot at PATH (src/store/).
 //                        A missing, corrupt, or version-incompatible
@@ -34,9 +35,10 @@
 //
 // On startup one `listening ...` line per listener is printed to stdout (the
 // TCP line carries the actually-bound port), then the server runs until
-// SIGINT/SIGTERM, at which point connections are drained, the --save-on-exit
-// snapshot (if any) is written, a final `stats {...}` JSON line is printed,
-// and it exits 0.
+// SIGINT/SIGTERM, at which point connections are drained, a final metrics
+// dump (with --metrics-dump-ms) goes to stderr, the --save-on-exit snapshot
+// (if any) is written, a final `stats {...}` JSON line is printed, and it
+// exits 0.
 //
 // Drive it with `xpathsat_cli --connect unix:PATH` / `--connect HOST:PORT`,
 // or anything that speaks lines (nc works; see the README protocol spec).
@@ -227,9 +229,13 @@ int main(int argc, char** argv) {
   }
   // Stop() returns only after a COMPLETE stop, even when it races another
   // stop path (the reactor's poller-failure self-stop, a second signal):
-  // the shutdown actions below — snapshot save, stats dump — run strictly
-  // after every connection has drained.
+  // the shutdown actions below — final metrics dump, snapshot save, stats
+  // dump — run strictly after every connection has drained.
   server.Stop();
+  if (metrics_dump_ms > 0) {
+    // The last scrape covers all drained traffic, however short the run.
+    std::fprintf(stderr, "metrics %s\n", server.MetricsJson().c_str());
+  }
   if (!save_on_exit.empty()) {
     SnapshotSaveResult saved = engine.SaveSnapshot(save_on_exit);
     if (!saved.status.ok()) {
