@@ -16,10 +16,11 @@ namespace xpathsat {
 namespace engine_internal {
 
 // Shared state of one submitted request. The promise is fulfilled exactly
-// once, by whichever side wins the job's queued->{running,cancelled} CAS:
-// the worker (with the computed response), the deadline reaper, or a
-// TryCancel caller. All three go through Fulfill so completion callbacks
-// fire on every path.
+// once: by Submit itself for a memo hit answered on the submitting thread
+// (its job is born done, so nothing else can win it), otherwise by whichever
+// side wins the job's queued->{running,cancelled} CAS: the worker (with the
+// computed response), the deadline reaper, or a TryCancel caller. All paths
+// go through Fulfill so completion callbacks fire on every one.
 struct TicketState {
   uint64_t id = 0;
   std::promise<SatResponse> promise;
@@ -390,6 +391,7 @@ std::shared_ptr<const SatEngine::CachedQuery> SatEngine::LookupQuery(
   auto entry = std::make_shared<CachedQuery>();
   entry->ast = std::shared_ptr<const PathExpr>(std::move(parsed).value());
   entry->features = DetectFeatures(*entry->ast);
+  entry->fragment = entry->features.FragmentName();
   entry->canonical = entry->ast->ToString();
 
   // Textual variants of one query share the canonical entry (racing parsers
@@ -413,11 +415,11 @@ void SatEngine::FinishTrace(SatResponse* resp, const SatRequest& request,
                             Clock::time_point end) {
   obs::RequestTrace& t = resp->trace;
   t.total_ns = ToNs(end - submitted);
-  // Phase histograms are distributions over phases that actually ran:
-  // queue wait and the total span exist for every executed request, but a
-  // zero parse/rewrite/decide span means the phase was skipped (cache hit,
-  // memo hit) and is not recorded.
-  hist_queue_ns_->Record(t.queue_ns);
+  // Phase histograms are distributions over phases that actually ran: the
+  // total span exists for every executed request, but a zero queue, parse,
+  // rewrite or decide span means the phase was skipped (memo hit answered
+  // on the submitting thread, cache hit, memo hit) and is not recorded.
+  if (t.queue_ns != 0) hist_queue_ns_->Record(t.queue_ns);
   if (t.parse_ns != 0) hist_parse_ns_->Record(t.parse_ns);
   if (t.rewrite_ns != 0) hist_rewrite_ns_->Record(t.rewrite_ns);
   if (t.decide_ns != 0) hist_decide_ns_->Record(t.decide_ns);
@@ -435,9 +437,39 @@ void SatEngine::FinishTrace(SatResponse* resp, const SatRequest& request,
   }
 }
 
+bool SatEngine::AnswerFromMemo(
+    const SatRequest& request, const std::string& memo_key,
+    const std::shared_ptr<const CompiledDtd>& compiled, uint64_t ticket_id,
+    Clock::time_point submitted, SatResponse* resp) {
+  std::shared_ptr<const SatReport> memoized;
+  memo_.LookupWith(memo_key, [&](MemoEntry& entry) {
+    // Same fingerprint does not imply the same schema (64-bit FNV): serve
+    // the memo only for the DTD it was computed against. Pointer equality
+    // is the fast path (handles share one CompiledDtd).
+    if (entry.compiled != compiled &&
+        !entry.compiled->dtd.EquivalentTo(compiled->dtd)) {
+      return false;
+    }
+    // Refresh the pin after an eviction+recompile so subsequent hits for
+    // this handle take the pointer fast path, not the structural check
+    // under the shard lock.
+    entry.compiled = compiled;
+    memoized = entry.report;
+    return true;
+  });
+  if (memoized == nullptr) return false;
+  memo_hits_.fetch_add(1, std::memory_order_release);
+  resp->report = *memoized;
+  resp->memo_hit = true;
+  resp->status = Status::Ok();
+  resp->trace.route = "memo-hit";
+  FinishTrace(resp, request, ticket_id, submitted, Clock::now());
+  return true;
+}
+
 SatResponse SatEngine::Execute(const SatRequest& request,
                                Clock::time_point submitted,
-                               uint64_t ticket_id) {
+                               uint64_t ticket_id, CallerProbe probe) {
   const Clock::time_point picked_up = Clock::now();
   SatResponse resp;
   resp.trace.queue_ns = ToNs(picked_up - submitted);
@@ -461,11 +493,16 @@ SatResponse SatEngine::Execute(const SatRequest& request,
     return resp;
   }
 
-  bool query_hit = false;
+  // A query the caller found cached is used as is. One it missed is looked
+  // up again before parsing: a pipelined twin submitted just ahead of it
+  // may have been parsed since.
+  bool query_hit = probe.query != nullptr;
+  std::shared_ptr<const CachedQuery> query = std::move(probe.query);
   std::string parse_error;
-  std::shared_ptr<const CachedQuery> query =
-      LookupQuery(request.query, &query_hit, &parse_error,
-                  &resp.trace.parse_ns);
+  if (!query_hit) {
+    query = LookupQuery(request.query, &query_hit, &parse_error,
+                        &resp.trace.parse_ns);
+  }
   (query_hit ? query_cache_hits_ : query_cache_misses_)
       .fetch_add(1, std::memory_order_release);
   if (query == nullptr) {
@@ -476,7 +513,7 @@ SatResponse SatEngine::Execute(const SatRequest& request,
     return resp;
   }
   resp.query_cache_hit = query_hit;
-  resp.fragment = query->features.FragmentName();
+  resp.fragment = query->fragment;
 
   // The handle pins the artifacts: no per-request fingerprinting, cache
   // probe, or equivalence check — registration already paid for those.
@@ -485,34 +522,19 @@ SatResponse SatEngine::Execute(const SatRequest& request,
   resp.dtd_fingerprint = compiled->fingerprint;
 
   const bool memo_enabled = options_.memo_capacity > 0;
-  std::string memo_key;
+  std::string memo_key = std::move(probe.memo_key);
   if (memo_enabled) {
-    memo_key = MemoKey(query->canonical, compiled->fingerprint,
-                       request.options.Digest());
-    std::shared_ptr<const SatReport> memoized;
-    memo_.LookupWith(memo_key, [&](MemoEntry& entry) {
-      // Same fingerprint does not imply the same schema (64-bit FNV):
-      // serve the memo only for the DTD it was computed against. Pointer
-      // equality is the fast path (handles share one CompiledDtd).
-      if (entry.compiled != compiled &&
-          !entry.compiled->dtd.EquivalentTo(compiled->dtd)) {
-        return false;
+    // A key from the caller means the memo was probed there and missed;
+    // it is not probed twice. An empty key means the caller could not
+    // probe (its query-cache probe missed): probe here, which is also how a
+    // pipelined twin's verdict or a snapshot-warmed memo entry is reached.
+    if (memo_key.empty()) {
+      memo_key = MemoKey(query->canonical, compiled->fingerprint,
+                         request.options.Digest());
+      if (AnswerFromMemo(request, memo_key, compiled, ticket_id, submitted,
+                         &resp)) {
+        return resp;
       }
-      // Refresh the pin after an eviction+recompile so subsequent hits
-      // for this handle take the pointer fast path, not the structural
-      // check under the shard lock.
-      entry.compiled = compiled;
-      memoized = entry.report;
-      return true;
-    });
-    if (memoized != nullptr) {
-      memo_hits_.fetch_add(1, std::memory_order_release);
-      resp.report = *memoized;
-      resp.memo_hit = true;
-      resp.status = Status::Ok();
-      resp.trace.route = "memo-hit";
-      FinishTrace(&resp, request, ticket_id, submitted, Clock::now());
-      return resp;
     }
     memo_misses_.fetch_add(1, std::memory_order_release);
   }
@@ -545,8 +567,6 @@ SatTicket SatEngine::Submit(SatRequest request) {
   requests_.fetch_add(1, std::memory_order_release);
   auto state = std::make_shared<engine_internal::TicketState>();
   state->id = next_ticket_id_.fetch_add(1, std::memory_order_relaxed);
-  state->job = std::make_shared<CancellableJob>();
-
   state->future = state->promise.get_future().share();
 
   SatTicket ticket;
@@ -555,19 +575,46 @@ SatTicket SatEngine::Submit(SatRequest request) {
   ticket.state_ = state;
 
   const Clock::time_point submitted = Clock::now();
+
+  // Probe on the caller: a cached query with a memoized verdict needs only
+  // the two probes and a copy, so it is answered right here — no pool hop,
+  // no reaper entry, and a ticket that is born fulfilled. Everything else
+  // goes to the pool carrying what this probe learned.
+  CallerProbe probe;
+  if (request.dtd.valid()) {
+    probe.query = query_cache_.Lookup(request.query).value_or(nullptr);
+    if (probe.query != nullptr && options_.memo_capacity > 0) {
+      std::shared_ptr<const CompiledDtd> compiled = request.dtd.compiled();
+      probe.memo_key = MemoKey(probe.query->canonical, compiled->fingerprint,
+                               request.options.Digest());
+      SatResponse resp;
+      resp.query_cache_hit = true;
+      resp.dtd_fingerprint = compiled->fingerprint;
+      if (AnswerFromMemo(request, probe.memo_key, compiled, state->id,
+                         submitted, &resp)) {
+        query_cache_hits_.fetch_add(1, std::memory_order_release);
+        resp.fragment = probe.query->fragment;
+        state->job = CancellableJob::AlreadyDone();
+        state->Fulfill(std::move(resp));
+        return ticket;
+      }
+    }
+  }
+
+  state->job = std::make_shared<CancellableJob>();
   const int64_t deadline_ms = request.deadline_ms;
   // The control block is fully published in the ticket state before the job
   // can possibly start — Submit, TryCancel, and the reaper all go through
   // the same CAS arbitration.
   pool_.SubmitCancellable(
-      state->job, [this, state, request = std::move(request),
-                   submitted]() mutable {
+      state->job, [this, state, request = std::move(request), submitted,
+                   probe = std::move(probe)]() mutable {
         // The promise is always fulfilled: an exception escaping a pool job
         // would std::terminate the process (and break every ticket copy),
         // so decider failures surface as error responses instead.
         SatResponse resp;
         try {
-          resp = Execute(request, submitted, state->id);
+          resp = Execute(request, submitted, state->id, std::move(probe));
         } catch (const std::exception& e) {
           resp = SatResponse();
           resp.status =
@@ -885,11 +932,12 @@ SatEngineStats SatEngine::stats() const {
   // Load order is part of the contract (see SatEngineStats): per-request
   // *outcome* counters first, `requests` last, all with acquire ordering
   // against the release increments. A request's `requests` bump
-  // happens-before its outcome bump (Submit enqueues through the pool's
-  // queue lock before the worker runs), so any outcome this snapshot
-  // observes has its request already counted by the later `requests` load —
-  // the documented <= invariants hold for every snapshot, mid-flight
-  // included.
+  // happens-before its outcome bump (a memo hit answered in Submit bumps
+  // both on the submitting thread, in that order; any other request is
+  // enqueued through the pool's queue lock before a worker runs it), so any
+  // outcome this snapshot observes has its request already counted by the
+  // later `requests` load — the documented <= invariants hold for every
+  // snapshot, mid-flight included.
   SatEngineStats s;
   s.memo_hits = memo_hits_.load(std::memory_order_acquire);
   s.memo_misses = memo_misses_.load(std::memory_order_acquire);

@@ -13,12 +13,14 @@
 //     the CompiledDtd artifacts (class, label graph, content-model NFAs,
 //     normal form) while any copy is live — requests carry handles, so there
 //     is no borrowed-pointer outlive-the-call contract anywhere in the API.
-//   * Submit(request) -> SatTicket: enqueues the request on the pool and
-//     returns immediately with a stable request id plus a future for the
-//     response. TryCancel revokes still-queued tickets, and a deadline
-//     reaper thread cancels queued work the moment its deadline expires
-//     (work that started in time runs to completion). Run and RunBatch are
-//     thin wrappers over Submit — there is exactly one execution path.
+//   * Submit(request) -> SatTicket: returns immediately with a stable
+//     request id plus a future for the response. A memo hit is answered on
+//     the submitting thread (the ticket is already fulfilled when Submit
+//     returns); every other request is enqueued on the pool. TryCancel
+//     revokes still-queued tickets, and a deadline reaper thread cancels
+//     queued work the moment its deadline expires (work that started in
+//     time runs to completion). Run and RunBatch are thin wrappers over
+//     Submit — there is exactly one execution path.
 //     Reactive callers use SatTicket::OnComplete (a callback fired on every
 //     fulfilment path: computed, cancelled, expired) or SatTicket::WaitAny
 //     instead of one blocking Get per ticket — this is what the socket
@@ -161,7 +163,8 @@ struct SatRequest {
   /// front, so a batch shares one epoch). A request still queued when it
   /// expires is cancelled by the reaper and resolves to kUnknown immediately
   /// — it does not wait for a worker. A request that starts in time runs to
-  /// completion. 0 disables the cap.
+  /// completion, and a memo hit, answered inside Submit, never queues and
+  /// always gets its memoized verdict. 0 disables the cap.
   int64_t deadline_ms = 0;
 };
 
@@ -209,8 +212,9 @@ class SatTicket {
   }
 
   /// Registers `cb` to run exactly once with the response. If the ticket is
-  /// already complete, `cb` runs inline on the calling thread; otherwise it
-  /// runs on whichever thread fulfils the ticket — a pool worker, a
+  /// already complete, `cb` runs inline on the calling thread — always the
+  /// case for a memo hit, which Submit fulfils before it returns; otherwise
+  /// it runs on whichever thread fulfils the ticket — a pool worker, a
   /// TryCancel caller, or the deadline reaper. Callbacks fire on EVERY
   /// fulfilment path (computed responses, cancellations, deadline
   /// expirations), which is what lets a server pipeline responses out of
@@ -288,10 +292,12 @@ struct SnapshotLoadResult {
 ///   query_cache_hits + query_cache_misses <= requests
 ///
 /// (each request contributes to at most one outcome counter, and its
-/// `requests` increment happens-before its outcome increment via the pool's
-/// queue). Exact totals hold at quiescence: once every submitted ticket has
-/// been observed complete (Get/WaitFor returned, or a callback fired), a
-/// subsequent stats() call accounts for all of them exactly —
+/// `requests` increment happens-before its outcome increment: on the
+/// submitting thread itself for a memo hit answered in Submit, via the
+/// pool's queue for everything else). Exact totals hold at quiescence:
+/// once every submitted ticket has been observed complete (Get/WaitFor
+/// returned, or a callback fired), a subsequent stats() call accounts for
+/// all of them exactly —
 /// tests/cache_stress_test.cc asserts both the mid-flight invariants and
 /// the exact quiescent totals.
 struct SatEngineStats {
@@ -351,8 +357,11 @@ class SatEngine {
   /// Parses DTD source text and registers it. Errors are parse errors.
   Result<DtdHandle> RegisterDtdText(const std::string& dtd_text);
 
-  /// Enqueues the request and returns immediately. The returned ticket's id
-  /// is unique and increases with submission order. The request (query text,
+  /// Answers a memo hit on the calling thread (the returned ticket is
+  /// already fulfilled, and TryCancel on it returns false); enqueues any
+  /// other request. Returns immediately either way: parsing and deciding
+  /// happen on the pool. The returned ticket's id is unique and increases
+  /// with submission order. The request (query text,
   /// handle pin, options) is captured by value; the caller keeps nothing
   /// alive.
   SatTicket Submit(SatRequest request);
@@ -437,6 +446,7 @@ class SatEngine {
   struct CachedQuery {
     std::shared_ptr<const PathExpr> ast;
     Features features;
+    std::string fragment;  // features.FragmentName(), printed once
     std::string canonical;
   };
   struct MemoEntry {
@@ -453,8 +463,28 @@ class SatEngine {
   /// constructed from the stored options.
   static SatEngineOptions Normalize(SatEngineOptions options);
 
+  /// What Submit's probe on the calling thread learned, handed to the pool
+  /// job so a request that missed there is never probed twice.
+  struct CallerProbe {
+    /// The query-cache entry; null on a query-cache miss (the pool looks
+    /// it up again and parses it if still absent).
+    std::shared_ptr<const CachedQuery> query;
+    /// The memo key, set iff the memo was probed (and missed).
+    std::string memo_key;
+  };
+
   SatResponse Execute(const SatRequest& request, Clock::time_point submitted,
-                      uint64_t ticket_id);
+                      uint64_t ticket_id, CallerProbe probe);
+  /// The memo-hit path, shared by Submit's probe on the calling thread and
+  /// by Execute, which reaches it for queries the caller did not find in
+  /// the query cache (a snapshot-warmed memo entry, say, whose query has
+  /// not been parsed since the restart). Probes the memo under the
+  /// EquivalentTo collision check; on a hit fills `resp`'s verdict, counts
+  /// the hit, finishes the trace and returns true. A miss touches nothing.
+  bool AnswerFromMemo(const SatRequest& request, const std::string& memo_key,
+                      const std::shared_ptr<const CompiledDtd>& compiled,
+                      uint64_t ticket_id, Clock::time_point submitted,
+                      SatResponse* resp);
   std::shared_ptr<const CompiledDtd> LookupDtd(const Dtd& dtd, uint64_t fp,
                                                bool* hit);
   std::shared_ptr<const CachedQuery> LookupQuery(const std::string& text,
@@ -463,9 +493,9 @@ class SatEngine {
                                                  uint64_t* parse_ns);
   /// Completes resp->trace (total span), records the phase histograms and
   /// the route counter, and admits the request to the slow-query log when it
-  /// crossed the threshold. Every Execute exit path funnels through here;
-  /// never-executed fulfilments (TryCancel, reaper) bump only their route
-  /// counter.
+  /// crossed the threshold. Every Execute exit path and every memo hit
+  /// funnels through here; never-executed fulfilments (TryCancel, reaper)
+  /// bump only their route counter.
   void FinishTrace(SatResponse* resp, const SatRequest& request,
                    uint64_t ticket_id, Clock::time_point submitted,
                    Clock::time_point end);

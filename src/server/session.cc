@@ -28,9 +28,11 @@ obs::MetricsRenderInput EngineRenderInput(SatEngine* engine) {
 
 }  // namespace
 
-// Result callbacks run on engine threads and may outlive the session object
-// by a few instructions (the callback's notify after its erase); everything
-// they touch lives here, behind a shared_ptr they hold.
+// Result callbacks run on engine threads (or inline on the session's own
+// thread, for tickets already complete when the callback is attached — memo
+// hits always are) and may outlive the session object by a few
+// instructions (the callback's notify after its erase); everything they
+// touch lives here, behind a shared_ptr they hold.
 struct ServerSession::Shared {
   LineSink sink;
   util::Mutex mu;
@@ -46,9 +48,11 @@ struct ServerSession::Shared {
 };
 
 ServerSession::ServerSession(SatEngine* engine, SessionOptions options,
-                             LineSink sink)
+                             LineSink sink,
+                             std::function<void()> before_block)
     : engine_(engine),
       options_(std::move(options)),
+      before_block_(std::move(before_block)),
       shared_(std::make_shared<Shared>()),
       authed_(options_.auth_secret.empty()) {
   shared_->sink = std::move(sink);
@@ -61,9 +65,17 @@ void ServerSession::EmitError(const std::string& code,
   shared_->sink(protocol::FormatErr(code, detail));
 }
 
-void ServerSession::Drain() {
+void ServerSession::Drain() { WaitForInflightAtMost(0); }
+
+void ServerSession::WaitForInflightAtMost(size_t limit) {
+  {
+    util::MutexLock lock(shared_->mu);
+    if (shared_->inflight.size() <= limit) return;
+  }
+  // About to block: a sink holding lines back emits them first.
+  if (before_block_) before_block_();
   util::MutexLock lock(shared_->mu);
-  while (!shared_->inflight.empty()) shared_->cv.Wait(shared_->mu);
+  while (shared_->inflight.size() > limit) shared_->cv.Wait(shared_->mu);
 }
 
 bool ServerSession::HandleLine(const std::string& line) {
@@ -155,18 +167,13 @@ void ServerSession::DispatchBatch() {
     return;
   }
   const size_t n = batch->members.size();
-  {
-    // One cap-wait up front for the whole batch (kBatch rejected any N over
-    // the cap). Waiting here is safe: earlier submissions' completion
-    // callbacks are already attached and will free slots. Between the wait
-    // and the last Submit there is no further blocking, so the
-    // attach-callbacks-after-ack step below cannot deadlock.
-    const size_t cap = options_.max_inflight < 1 ? 1 : options_.max_inflight;
-    util::MutexLock lock(shared_->mu);
-    while (shared_->inflight.size() + n > cap) {
-      shared_->cv.Wait(shared_->mu);
-    }
-  }
+  // One cap-wait up front for the whole batch (kBatch rejected any N over
+  // the cap). Waiting here is safe: earlier submissions' completion
+  // callbacks are already attached and will free slots. Between the wait
+  // and the last Submit there is no further blocking, so the
+  // attach-callbacks-after-ack step below cannot deadlock.
+  const size_t cap = options_.max_inflight < 1 ? 1 : options_.max_inflight;
+  WaitForInflightAtMost(cap - n);
   std::vector<SatTicket> tickets;
   std::vector<uint64_t> ids;
   tickets.reserve(n);
@@ -328,18 +335,12 @@ void ServerSession::HandleCommand(const protocol::Command& command) {
         EmitError("unknown-dtd", "'" + command.name + "'");
         return;
       }
-      {
-        // Bound this session's outstanding work: block (back-pressuring
-        // the connection) until a completion frees a slot. Every ticket
-        // resolves — computed, cancelled, or expired — so this always
-        // makes progress.
-        const size_t cap =
-            options_.max_inflight < 1 ? 1 : options_.max_inflight;
-        util::MutexLock lock(shared_->mu);
-        while (shared_->inflight.size() >= cap) {
-          shared_->cv.Wait(shared_->mu);
-        }
-      }
+      // Bound this session's outstanding work: block (back-pressuring the
+      // connection) until a completion frees a slot. Every ticket resolves
+      // — computed, cancelled, or expired — so this always makes progress.
+      const size_t cap =
+          options_.max_inflight < 1 ? 1 : options_.max_inflight;
+      WaitForInflightAtMost(cap - 1);
       SatRequest request;
       request.query = command.arg;
       request.dtd = it->second;

@@ -15,7 +15,9 @@
 // Responses are pipelined: `query` answers immediately with `ok query ID`,
 // and the result line is emitted later — possibly out of submission order —
 // from the engine thread that completes the ticket (via
-// SatTicket::OnComplete). There is no per-ticket drain thread anywhere.
+// SatTicket::OnComplete), or right after the ack on the session's own
+// thread when the engine answered a memo hit inside Submit. There is no
+// per-ticket drain thread anywhere.
 //
 // Thread-safety: HandleLine must be called from one thread at a time (the
 // connection's reader), but the sink is invoked concurrently from engine
@@ -78,12 +80,18 @@ struct SessionOptions {
 class ServerSession {
  public:
   /// `sink` emits one reply line (no trailing newline). It is called from
-  /// the session's own thread (acks, errors, stats) AND from engine
-  /// completion threads (result lines); it must be thread-safe and must not
-  /// block indefinitely. `engine` must outlive the session.
+  /// the session's own thread (acks, errors, stats, memo-hit results) AND
+  /// from engine completion threads (result lines); it must be thread-safe
+  /// and must not block indefinitely. `engine` must outlive the session.
   using LineSink = std::function<void(const std::string&)>;
 
-  ServerSession(SatEngine* engine, SessionOptions options, LineSink sink);
+  /// `before_block` (optional) runs on the session's thread right before it
+  /// blocks — in the in-flight cap wait or in Drain. A sink that holds
+  /// lines back (the socket server batches one pass's replies into one
+  /// write) must emit them there and stop holding back, so no reply waits
+  /// behind the blocking wait.
+  ServerSession(SatEngine* engine, SessionOptions options, LineSink sink,
+                std::function<void()> before_block = nullptr);
   ~ServerSession();  // waits for in-flight results (Drain)
 
   ServerSession(const ServerSession&) = delete;
@@ -126,11 +134,15 @@ class ServerSession {
   };
 
   void HandleCommand(const protocol::Command& command);
+  /// Blocks until at most `limit` tickets are in flight, running
+  /// before_block_ first when it has to wait.
+  void WaitForInflightAtMost(size_t limit);
   void CollectBatchMember(const protocol::ParseResult& parsed);
   void DispatchBatch();
 
   SatEngine* engine_;
   SessionOptions options_;
+  std::function<void()> before_block_;
   std::shared_ptr<Shared> shared_;
   std::map<std::string, DtdHandle> schemas_;
   uint64_t queries_submitted_ = 0;

@@ -17,11 +17,15 @@ namespace server {
 
 namespace {
 
-// Cap on how long one reply write may block an engine completion thread
-// behind a client that stopped reading. After one expiry the connection is
-// latched dead and every further write is skipped, so a stuck client costs
-// the engine at most this once.
+// Cap on how long one reply write may block a worker or an engine
+// completion thread behind a client that stopped reading. After one expiry
+// the connection is latched dead and every further write is skipped, so a
+// stuck client costs the engine at most this once.
 constexpr int kSendTimeoutSeconds = 10;
+
+// A worker pass writes its held-back reply lines once they reach this many
+// bytes, so one pass never buffers without bound.
+constexpr size_t kCorkFlushBytes = 64 * 1024;
 
 // Backpressure: the reactor stops reading a connection whose decoded-but-
 // unserviced lines exceed either bound, and resumes when a worker drains
@@ -47,6 +51,38 @@ int64_t NowNs() {
 }
 
 }  // namespace
+
+// --- Write side -------------------------------------------------------------
+
+void SocketServer::WriteState::Emit(const std::string& line) {
+  util::MutexLock lock(mu_);
+  if (dead_) return;
+  out_.append(line);
+  out_.push_back('\n');
+  if (!corked_ || out_.size() >= kCorkFlushBytes) WriteOutLocked();
+}
+
+void SocketServer::WriteState::Cork() {
+  util::MutexLock lock(mu_);
+  corked_ = true;
+}
+
+void SocketServer::WriteState::Uncork() {
+  util::MutexLock lock(mu_);
+  corked_ = false;
+  if (!out_.empty()) WriteOutLocked();
+}
+
+// Only reached with bytes from Emit, which appends nothing once dead.
+void SocketServer::WriteState::WriteOutLocked() {
+  if (net::WriteAll(fd_, out_).ok()) {
+    last_activity_ms_->store(NowMs(), std::memory_order_relaxed);
+  } else {
+    dead_ = true;
+    ::shutdown(fd_, SHUT_RDWR);  // surface EOF to the reactor
+  }
+  out_.clear();
+}
 
 SocketServer::SocketServer(SatEngine* engine, SocketServerOptions options)
     : engine_(engine), options_(std::move(options)) {
@@ -388,7 +424,9 @@ void SocketServer::AdmitConnection(net::ScopedFd fd, bool is_tcp,
   // timeout, and the first failed/timed-out write latches the connection
   // dead — every later write (including the session drain's result lines)
   // becomes a no-op instead of paying the timeout again. The shutdown also
-  // unwedges the reactor side, which then tears the connection down.
+  // unwedges the reactor side, which then tears the connection down. The
+  // session uncorks the connection before it blocks, so lines held back by
+  // the running pass never wait behind that wait.
   timeval send_timeout;
   send_timeout.tv_sec = kSendTimeoutSeconds;
   send_timeout.tv_usec = 0;
@@ -403,20 +441,13 @@ void SocketServer::AdmitConnection(net::ScopedFd fd, bool is_tcp,
   session_opt.stats_json = [this] { return HealthJson(); };
   session_opt.metrics_json = [this] { return MetricsJson(); };
   session_opt.metrics_prom = [this] { return MetricsProm(); };
-  std::shared_ptr<WriteState> write_state = conn->write_state;
-  std::shared_ptr<std::atomic<int64_t>> activity = conn->last_activity_ms;
+  auto write_state =
+      std::make_shared<WriteState>(raw_fd, conn->last_activity_ms);
+  conn->write_state = write_state;
   conn->session.reset(new ServerSession(
       engine_, std::move(session_opt),
-      [raw_fd, write_state, activity](const std::string& line) {
-        util::MutexLock lock(write_state->mu);
-        if (write_state->dead) return;
-        if (net::WriteAll(raw_fd, line + "\n").ok()) {
-          activity->store(NowMs(), std::memory_order_relaxed);
-        } else {
-          write_state->dead = true;
-          ::shutdown(raw_fd, SHUT_RDWR);  // surface EOF to the reactor
-        }
-      }));
+      [write_state](const std::string& line) { write_state->Emit(line); },
+      [write_state] { write_state->Uncork(); }));
 
   Status added = poller_->Add(raw_fd);
   if (!added.ok()) {
@@ -652,6 +683,9 @@ void SocketServer::ProcessConnection(const std::shared_ptr<Connection>& conn) {
     timed_out = conn->timed_out;
   }
 
+  // One write per pass: replies collect in the connection's buffer and
+  // leave together when the pass ends (or earlier, see WriteState).
+  conn->write_state->Cork();
   bool open = true;
   for (const Connection::PendingLine& line : batch) {
     if (line.oversized) {
@@ -664,6 +698,7 @@ void SocketServer::ProcessConnection(const std::shared_ptr<Connection>& conn) {
       if (!open) break;  // quit / bad-auth: drop any lines queued behind it
     }
   }
+  conn->write_state->Uncork();
 
   bool do_teardown = false;
   bool signal_resume = false;

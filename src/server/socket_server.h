@@ -13,10 +13,18 @@
 // and per-IP accept throttling. Decoded lines are handed to a fixed worker
 // pool through a bounded queue (one token per connection needing service,
 // so per-connection line order is preserved and a connection is never
-// handled by two workers at once). Result lines are NOT written by either —
-// they are pipelined out of order by the engine threads that complete each
-// ticket, through the session's completion callbacks, serialized per
-// connection by a write mutex.
+// handled by two workers at once). Result lines of tickets still in flight
+// when a worker's pass ends are pipelined out of order by the engine
+// threads that complete them, through the session's completion callbacks,
+// serialized per connection by a write mutex.
+//
+// One write per pass: while a worker services a connection, every reply
+// line — acks, errors, results of memo hits answered inline, and results
+// that engine threads complete meanwhile — is appended to the connection's
+// output buffer in emission order and written in one send at the end of
+// the pass. The buffer is also written when it reaches 64 KiB, and before
+// the session blocks (in-flight cap wait, Drain), after which the pass
+// writes each line as it comes, so no reply waits behind a slow decide.
 //
 // This is what makes 10k idle connections on one process possible: an idle
 // connection costs one fd and a timer-wheel slot, not a thread.
@@ -86,8 +94,9 @@ struct SocketServerOptions {
   /// are exempt (no peer address to bucket).
   int tcp_accepts_per_ip_per_sec = 0;
   /// Session worker pool size; 0 picks hardware_concurrency clamped to
-  /// [2, 8]. These workers run HandleLine (parse + submit + acks); the
-  /// engine's own pool does the deciding.
+  /// [2, 8]. These workers run HandleLine (parse + submit + acks, and the
+  /// engine's answers to memo hits); the engine's own pool does the
+  /// deciding.
   int worker_threads = 0;
 };
 
@@ -156,12 +165,33 @@ class SocketServer {
 
  private:
   // Per-connection write-side state, shared between the session's output
-  // sink (runs on engine completion threads) and the teardown path. The
-  // first failed/timed-out write latches `dead`; every later write is
-  // skipped instead of paying the send timeout again.
-  struct WriteState {
-    util::Mutex mu;
-    bool dead GUARDED_BY(mu) = false;
+  // sink (runs on the worker and on engine completion threads) and the
+  // teardown path. While corked (a worker pass is running), lines collect
+  // in the buffer and leave in one write; otherwise each line is written as
+  // it comes. The first failed/timed-out write latches the connection dead;
+  // every later write is skipped instead of paying the send timeout again.
+  class WriteState {
+   public:
+    WriteState(int fd, std::shared_ptr<std::atomic<int64_t>> activity)
+        : fd_(fd), last_activity_ms_(std::move(activity)) {}
+
+    // The session's sink: appends one reply line.
+    void Emit(const std::string& line);
+    // Starts holding lines back (start of a worker pass).
+    void Cork();
+    // Writes what was held back and stops holding back (end of a pass, or
+    // the session is about to block).
+    void Uncork();
+
+   private:
+    void WriteOutLocked() REQUIRES(mu_);
+
+    const int fd_;
+    const std::shared_ptr<std::atomic<int64_t>> last_activity_ms_;
+    util::Mutex mu_;
+    bool dead_ GUARDED_BY(mu_) = false;
+    bool corked_ GUARDED_BY(mu_) = false;
+    std::string out_ GUARDED_BY(mu_);
   };
 
   // One admitted connection. Field groups by owner:
@@ -183,13 +213,13 @@ class SocketServer {
     std::string peer_ip;
     net::LineDecoder decoder;  // reactor thread only
     std::unique_ptr<ServerSession> session;
-    std::shared_ptr<WriteState> write_state = std::make_shared<WriteState>();
-    // Stamped by the reactor on reads and by completion threads on result
+    // Stamped by the reactor on reads and by the write path on reply
     // writes; the timer wheel consults it before evicting, so a connection
     // only waiting on long decisions (results still streaming out) is not
     // "idle".
     std::shared_ptr<std::atomic<int64_t>> last_activity_ms =
         std::make_shared<std::atomic<int64_t>>(0);
+    std::shared_ptr<WriteState> write_state;  // set at admission
 
     struct PendingLine {
       std::string text;

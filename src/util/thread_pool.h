@@ -56,6 +56,15 @@ class CancellableJob {
                                           std::memory_order_acquire);
   }
 
+  /// A control block for work that completed without ever being queued
+  /// (the SatEngine answers memo hits on the submitting thread): born
+  /// kDone, so TryCancel returns false. Never pass it to SubmitCancellable.
+  static std::shared_ptr<CancellableJob> AlreadyDone() {
+    auto job = std::make_shared<CancellableJob>();
+    job->Finish();
+    return job;
+  }
+
   State state() const { return state_.load(std::memory_order_acquire); }
   bool cancelled() const { return state() == State::kCancelled; }
   bool done() const { return state() == State::kDone; }

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "src/sat/satisfiability.h"
+#include "tests/parked_worker.h"
 #include "tests/test_util.h"
 
 namespace xpathsat {
@@ -890,6 +891,77 @@ TEST(SatTicketCallbackTest, WaitAnyTimesOutAndSkipsInvalid) {
   EXPECT_TRUE(tickets[1].Get().status.ok());
 }
 
+TEST(SatTicketCallbackTest, MemoHitIsAnsweredOnTheSubmittingThread) {
+  Dtd d = MakeHeavyDtd();
+  SatEngineOptions opt;
+  opt.num_threads = 1;
+  SatEngine engine(opt);
+  DtdHandle handle = engine.RegisterDtd(d);
+  SatRequest warm;
+  warm.query = "section/item";
+  warm.dtd = handle;
+  ASSERT_TRUE(engine.Run(warm).status.ok());  // memoized from here on
+
+  ParkedWorker parked(&engine);
+  const obs::Histogram* queue =
+      engine.metrics().FindHistogram("request_queue_ns");
+  ASSERT_NE(queue, nullptr);
+  const uint64_t queue_samples = queue->TakeSnapshot().count;
+
+  // The only worker is parked, so anything that completes now was answered
+  // on this thread.
+  SatTicket hit = engine.Submit(warm);
+  ASSERT_TRUE(hit.Ready());
+  EXPECT_FALSE(engine.TryCancel(hit));
+  const SatResponse resp = hit.Get();
+  ASSERT_TRUE(resp.status.ok());
+  EXPECT_TRUE(resp.memo_hit);
+  EXPECT_TRUE(resp.report.sat());
+  EXPECT_EQ(resp.trace.route, "memo-hit");
+  EXPECT_EQ(resp.trace.queue_ns, 0u);
+  // A callback attached to it runs inline, here.
+  std::thread::id ran_on;
+  hit.OnComplete([&ran_on](const SatResponse&) {
+    ran_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+
+  // A deadline cannot expire a request that never queues.
+  SatRequest with_deadline = warm;
+  with_deadline.deadline_ms = 1;
+  SatTicket deadline_hit = engine.Submit(with_deadline);
+  ASSERT_TRUE(deadline_hit.Ready());
+  EXPECT_TRUE(deadline_hit.Get().memo_hit);
+  EXPECT_EQ(deadline_hit.Get().trace.route, "memo-hit");
+
+  // A zero queue span is a skipped phase: no sample for either hit.
+  EXPECT_EQ(queue->TakeSnapshot().count, queue_samples);
+
+  // A miss still needs the worker.
+  SatRequest miss;
+  miss.query = "section/heading";
+  miss.dtd = handle;
+  SatTicket queued = engine.Submit(miss);
+  EXPECT_FALSE(queued.Ready());
+  parked.Release();
+  ASSERT_TRUE(queued.Get().status.ok());
+  EXPECT_FALSE(queued.Get().memo_hit);
+
+  // Exact totals at quiescence: the warm-up and the miss were decided, the
+  // two hits came from the memo, and the blockers (no DTD handle) touched
+  // no outcome counter.
+  const SatEngineStats stats = engine.stats();
+  EXPECT_EQ(stats.requests, 4u + static_cast<uint64_t>(parked.blockers()));
+  EXPECT_EQ(stats.memo_hits, 2u);
+  EXPECT_EQ(stats.memo_misses, 2u);
+  EXPECT_EQ(stats.query_cache_hits, 2u);
+  EXPECT_EQ(stats.query_cache_misses, 2u);
+  EXPECT_EQ(stats.cancellations, 0u);
+  EXPECT_EQ(stats.deadline_expirations, 0u);
+  EXPECT_EQ(stats.parse_errors, 0u);
+  EXPECT_EQ(engine.routes().TakeSnapshot()["memo-hit"], 2u);
+}
+
 // --- Request traces and the observability surfaces --------------------------
 
 TEST(SatEngineTest, TraceSpansCoverThePhasesThatRan) {
@@ -992,12 +1064,13 @@ TEST(SatEngineTest, PhaseHistogramsCountExecutedRequests) {
       engine.metrics().FindHistogram("request_total_ns");
   ASSERT_NE(total, nullptr);
   EXPECT_EQ(total->TakeSnapshot().count, 5u);
+  // queue/parse/decide are distributions over the phases that RAN: one
+  // cold request went through the pool, four memo hits were answered on
+  // this thread and never queued.
   const obs::Histogram* queue =
       engine.metrics().FindHistogram("request_queue_ns");
   ASSERT_NE(queue, nullptr);
-  EXPECT_EQ(queue->TakeSnapshot().count, 5u);
-  // parse/decide are distributions over the phases that RAN: one cold
-  // request, four memo hits.
+  EXPECT_EQ(queue->TakeSnapshot().count, 1u);
   const obs::Histogram* parse =
       engine.metrics().FindHistogram("request_parse_ns");
   ASSERT_NE(parse, nullptr);

@@ -21,11 +21,14 @@ endif()
 file(MAKE_DIRECTORY ${WORK_DIR})
 file(WRITE ${WORK_DIR}/lint_a.dtd "root r\nr -> A, B*\nA -> eps\nB -> eps\n")
 # Repeat one query so the memo-hit route shows up; flush so every request
-# has been traced before the exposition is taken.
+# has been traced before the exposition is taken. The first flush lands the
+# first `A` in the memo before its repeat is submitted: pipelined repeats
+# race their original, and a repeat that wins is a second miss.
 file(WRITE ${WORK_DIR}/lint_input.txt
 "dtd a lint_a.dtd
 query a A
 query a B
+flush
 query a A
 flush
 metrics prom

@@ -1,14 +1,15 @@
 // Reactor-scale stress battery (CTest label `stress`; the TSan CI job
 // re-runs it with --repeat until-fail:3): a thousand concurrent idle
 // connections held on reactor threads — not per-connection threads — while
-// live traffic keeps its round-trip throughput, and idle-timeout eviction
-// sweeping hundreds of silent connections at once.
+// live traffic keeps its round-trip rate per CPU second, and idle-timeout
+// eviction sweeping hundreds of silent connections at once.
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <string>
 #include <thread>
 #include <vector>
@@ -79,24 +80,37 @@ int ProcessThreadCount() {
   return threads;
 }
 
-// Round trips per second over `round_trips` sequential stats calls.
+double ProcessCpuSeconds() {
+  timespec ts;
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) / 1e9;
+}
+
+// Round trips per CPU second of this process (client and server threads)
+// over `round_trips` sequential stats calls.
 double MeasureRoundTripRate(SyncClient* client, int round_trips) {
-  auto start = std::chrono::steady_clock::now();
+  const double start = ProcessCpuSeconds();
   for (int i = 0; i < round_trips; ++i) {
     client->Call("stats", "stats {");
   }
-  std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
-  return round_trips / std::max(elapsed.count(), 1e-9);
+  return round_trips / std::max(ProcessCpuSeconds() - start, 1e-9);
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
 }
 
 TEST(ServerStressTest, ThousandIdleConnectionsDontTaxLiveTraffic) {
 #ifdef XPATHSAT_SANITIZED
   constexpr int kIdleConnections = 300;  // sanitizers: same shape, less time
-  constexpr int kRoundTrips = 100;
+  constexpr int kRoundTrips = 50;
+  constexpr int kPairs = 3;
 #else
   constexpr int kIdleConnections = 1000;
-  constexpr int kRoundTrips = 400;
+  constexpr int kRoundTrips = 200;
+  constexpr int kPairs = 25;
 #endif
   SatEngine engine;
   SocketServerOptions opt;
@@ -109,61 +123,70 @@ TEST(ServerStressTest, ThousandIdleConnectionsDontTaxLiveTraffic) {
   SyncClient live(std::move(live_fd).value());
   live.Call("stats", "stats {");  // warm the path before timing anything
 
-  // Baseline: live round-trip rate with no idle load (best of 3 rounds —
-  // one scheduler hiccup must not poison the comparison).
-  double baseline = 0;
-  for (int round = 0; round < 3; ++round) {
-    baseline = std::max(baseline, MeasureRoundTripRate(&live, kRoundTrips));
-  }
-
-  const int threads_before = ProcessThreadCount();
-  ASSERT_GT(threads_before, 0);
-
+  auto wait_for_active = [&](uint64_t want) {
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (server.connections_active() != want &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ASSERT_EQ(server.connections_active(), want);
+  };
   // Pile on the idle herd. Sequential connects can outrun the accept loop
   // and fill the listen backlog, so failed connects retry after a beat.
   std::vector<net::ScopedFd> idle;
-  idle.reserve(kIdleConnections);
-  while (idle.size() < static_cast<size_t>(kIdleConnections)) {
-    Result<net::ScopedFd> fd = net::ConnectUnix(opt.unix_path);
-    if (!fd.ok()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      continue;
+  auto connect_herd = [&] {
+    idle.reserve(kIdleConnections);
+    while (idle.size() < static_cast<size_t>(kIdleConnections)) {
+      Result<net::ScopedFd> fd = net::ConnectUnix(opt.unix_path);
+      if (!fd.ok()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        continue;
+      }
+      idle.push_back(std::move(fd).value());
     }
-    idle.push_back(std::move(fd).value());
-  }
-  // Wait until every one is admitted (accept is asynchronous).
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (server.connections_active() <
-             static_cast<uint64_t>(kIdleConnections) + 1 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  ASSERT_EQ(server.connections_active(),
-            static_cast<uint64_t>(kIdleConnections) + 1);
+    // Wait until every one is admitted (accept is asynchronous).
+    wait_for_active(static_cast<uint64_t>(kIdleConnections) + 1);
+  };
 
+  const int threads_before = ProcessThreadCount();
+  ASSERT_GT(threads_before, 0);
+  connect_herd();
   // The tentpole's resource claim: the herd added CONNECTIONS, not threads.
   const int threads_after = ProcessThreadCount();
   EXPECT_LT(threads_after - threads_before, 8)
       << "idle connections are being given their own threads";
 
-  // Live traffic must not care that a thousand sockets are parked.
-  double with_idle = 0;
-  for (int round = 0; round < 3; ++round) {
-    with_idle = std::max(with_idle, MeasureRoundTripRate(&live, kRoundTrips));
+  // Live traffic must not care that a thousand sockets are parked. The
+  // herd comes and goes between paired rounds on the same server and
+  // threads, so whatever the host does to those threads (other tests,
+  // busy loops on every core, SMT siblings) lands on both sides of a pair;
+  // the rate is per CPU second, so time spent waiting for a core is not
+  // counted; and the median of the per-pair ratios is compared, so no
+  // single round decides.
+  std::vector<double> ratios;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    if (pair > 0) connect_herd();
+    live.Call("stats", "stats {");
+    const double with_idle = MeasureRoundTripRate(&live, kRoundTrips);
+    idle.clear();  // mass disconnect
+    wait_for_active(1);
+    live.Call("stats", "stats {");
+    const double baseline = MeasureRoundTripRate(&live, kRoundTrips);
+    ratios.push_back(with_idle / baseline);
   }
+  const double median_ratio = Median(ratios);
 #ifndef XPATHSAT_SANITIZED
   // Under sanitizers timing is noise; the structural assertions above still
   // ran. Unsanitized, the ratio is the acceptance bar.
-  EXPECT_GE(with_idle, 0.9 * baseline)
-      << "live round-trip rate dropped from " << baseline << "/s to "
-      << with_idle << "/s under idle load";
+  EXPECT_GE(median_ratio, 0.9)
+      << "live round-trip rate per CPU second under idle load fell to "
+      << median_ratio << "x (median over pairs) of the same server without it";
 #else
-  (void)with_idle;
-  (void)baseline;
+  (void)median_ratio;
 #endif
 
   live.Call("quit", "ok quit");
-  idle.clear();  // mass disconnect; Stop() must cope with the retire storm
   server.Stop();
   EXPECT_EQ(server.connections_active(), 0u);
 }

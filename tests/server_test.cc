@@ -2,7 +2,8 @@
 // every thread): ServerSession semantics over a collecting sink, and
 // SocketServer over real unix/TCP sockets — two concurrent clients sharing
 // one engine, cross-client memo hits, cancel-by-id of still-queued work,
-// malformed/oversized input, and drain-on-disconnect.
+// malformed/oversized input, drain-on-disconnect, and the one-write-per-pass
+// reply path with memo hits answered while the engine's worker is parked.
 #include "src/server/socket_server.h"
 
 #include <dirent.h>
@@ -19,7 +20,10 @@
 #include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +33,7 @@
 #include "src/server/protocol.h"
 #include "src/server/session.h"
 #include "src/util/net.h"
+#include "tests/parked_worker.h"
 #include "tests/test_util.h"
 
 namespace xpathsat {
@@ -928,6 +933,271 @@ TEST(SocketServerTest, AbruptDisconnectDrainsInFlightWork) {
   // returning at all is the assertion.
   server.Stop();
   EXPECT_EQ(engine.stats().requests, 20u);
+}
+
+// --- One write per worker pass ----------------------------------------------
+//
+// These run with the engine's single worker parked (tests/parked_worker.h):
+// a memo hit is answered on the submitting thread and still completes,
+// while a miss waits for the worker.
+
+// Where each ticket's ack and result line, and each batch's done line, sit
+// in a reply stream.
+struct WireOrder {
+  std::map<uint64_t, size_t> ack_at;
+  std::map<uint64_t, size_t> result_at;
+  std::map<uint64_t, size_t> batch_done_at;
+  std::map<uint64_t, std::vector<uint64_t>> batch_members;
+
+  explicit WireOrder(const std::vector<std::string>& lines, size_t from = 0) {
+    for (size_t i = from; i < lines.size(); ++i) {
+      const std::string& l = lines[i];
+      if (l.rfind("ok query ", 0) == 0) {
+        ack_at[std::stoull(l.substr(9))] = i;
+      } else if (l.rfind("ok batch ", 0) == 0) {
+        const uint64_t seq = std::stoull(l.substr(9));
+        const size_t ids = l.find(" ids ");
+        if (ids != std::string::npos) {
+          std::istringstream in(l.substr(ids + 5));
+          for (uint64_t id; in >> id;) {
+            ack_at[id] = i;
+            batch_members[seq].push_back(id);
+          }
+        } else if (l.find(" done") != std::string::npos) {
+          batch_done_at[seq] = i;
+        }
+      } else if (!l.empty() &&
+                 std::isdigit(static_cast<unsigned char>(l[0])) &&
+                 l.find(" [") != std::string::npos) {
+        result_at[std::stoull(l)] = i;
+      }
+    }
+  }
+
+  // Every result follows its own ack; every ack has its result.
+  void ExpectEachResultFollowsItsAck() const {
+    for (const auto& [id, at] : result_at) {
+      auto ack = ack_at.find(id);
+      ASSERT_NE(ack, ack_at.end()) << "result for unacked ticket " << id;
+      EXPECT_LT(ack->second, at) << "ticket " << id << " result before ack";
+    }
+    for (const auto& [id, at] : ack_at) {
+      EXPECT_EQ(result_at.count(id), 1u) << "no result for ticket " << id;
+    }
+  }
+};
+
+// Registers the heavy schema as `cat`, grants batch framing, and lands
+// `warm` in the memo.
+void PrimeSession(TestClient* client, const std::string& dtd_path,
+                  const std::vector<std::string>& warm) {
+  client->Send("hello batch");
+  client->WaitFor("ok hello batch");
+  client->Send("dtd cat " + dtd_path);
+  client->WaitFor("ok dtd cat");
+  for (const std::string& q : warm) client->Send("query cat " + q);
+  client->Send("flush");
+  client->WaitFor("ok flush");
+}
+
+TEST(SocketServerTest, WarmQueriesInOneWriteAreAnsweredWithoutAWorker) {
+  SatEngineOptions eopt;
+  eopt.num_threads = 1;
+  SatEngine engine(eopt);
+  std::string dtd_path = WriteTempDtd("socket_inline.dtd");
+  SocketServerOptions opt;
+  opt.unix_path = SocketPath("inline");
+  SocketServer server(&engine, opt);
+  ASSERT_TRUE(server.Start().ok());
+  Result<net::ScopedFd> fd = net::ConnectUnix(opt.unix_path);
+  ASSERT_TRUE(fd.ok()) << fd.error();
+  TestClient client(std::move(fd).value());
+  PrimeSession(&client, dtd_path, {"section/item"});
+  const size_t from = client.lines().size();
+
+  ParkedWorker parked(&engine);
+  std::string burst;
+  for (int i = 0; i < 16; ++i) burst += "query cat section/item\n";
+  client.SendBytes(burst);
+  client.WaitForAll(std::vector<std::string>(16, "[sat    ] section/item"));
+  const WireOrder order(client.lines(), from);
+  EXPECT_EQ(order.ack_at.size(), 16u);
+  EXPECT_EQ(order.result_at.size(), 16u);
+  order.ExpectEachResultFollowsItsAck();
+  EXPECT_EQ(engine.stats().memo_hits, 16u);
+
+  parked.Release();
+  client.Send("quit");
+  client.WaitFor("ok quit");
+  server.Stop();
+}
+
+TEST(SocketServerTest, PassMixingQueuedMissesAndInlineHitsKeepsOrder) {
+  SatEngineOptions eopt;
+  eopt.num_threads = 1;
+  SatEngine engine(eopt);
+  std::string dtd_path = WriteTempDtd("socket_mixed.dtd");
+  SocketServerOptions opt;
+  opt.unix_path = SocketPath("mixed");
+  SocketServer server(&engine, opt);
+  ASSERT_TRUE(server.Start().ok());
+  Result<net::ScopedFd> fd = net::ConnectUnix(opt.unix_path);
+  ASSERT_TRUE(fd.ok()) << fd.error();
+  TestClient client(std::move(fd).value());
+  PrimeSession(&client, dtd_path, {"section/item", "section/heading"});
+  const size_t from = client.lines().size();
+
+  ParkedWorker parked(&engine);
+  client.SendBytes(
+      "query cat section/item\n"
+      "query cat **/note\n"
+      "batch 4\n"
+      "query cat section/heading\n"
+      "query cat **/item[title]\n"
+      "query cat section/item\n"
+      "query cat nosuchlabel\n"
+      "query cat section/heading\n");
+  // The four hits resolve while the worker is parked; the three misses
+  // cannot, and neither can the batch barrier.
+  client.WaitForAll({"[sat    ] section/item", "[sat    ] section/heading",
+                     "[sat    ] section/item", "[sat    ] section/heading"});
+  EXPECT_FALSE(client.SawLine("**/note --"));
+  EXPECT_FALSE(client.SawLine("ok batch 1 done"));
+
+  parked.Release();
+  client.WaitForAll({"[sat    ] **/note", "[sat    ] **/item[title]",
+                     "[unsat  ] nosuchlabel", "ok batch 1 done"});
+  const WireOrder order(client.lines(), from);
+  EXPECT_EQ(order.ack_at.size(), 7u);
+  EXPECT_EQ(order.result_at.size(), 7u);
+  order.ExpectEachResultFollowsItsAck();
+  ASSERT_EQ(order.batch_members.count(1), 1u);
+  ASSERT_EQ(order.batch_done_at.count(1), 1u);
+  for (uint64_t id : order.batch_members.at(1)) {
+    ASSERT_EQ(order.result_at.count(id), 1u);
+    EXPECT_LT(order.result_at.at(id), order.batch_done_at.at(1))
+        << "batch done before member " << id;
+  }
+
+  client.Send("quit");
+  client.WaitFor("ok quit");
+  server.Stop();
+}
+
+TEST(SocketServerTest, PassWithMoreThan64KiBOfRepliesArrivesComplete) {
+  SatEngineOptions eopt;
+  eopt.num_threads = 1;
+  SatEngine engine(eopt);
+  std::string dtd_path = WriteTempDtd("socket_big.dtd");
+  SocketServerOptions opt;
+  opt.unix_path = SocketPath("big");
+  SocketServer server(&engine, opt);
+  ASSERT_TRUE(server.Start().ok());
+  Result<net::ScopedFd> fd = net::ConnectUnix(opt.unix_path);
+  ASSERT_TRUE(fd.ok()) << fd.error();
+  TestClient client(std::move(fd).value());
+  PrimeSession(&client, dtd_path, {"section/item"});
+  // One Prometheus exposition per `metrics prom`: short requests with long
+  // replies, so a pass of a few hundred input bytes answers far more than
+  // the 64 KiB flush threshold.
+  client.Send("metrics prom");
+  client.WaitFor("# EOF");
+  const size_t exposition_bytes = [&] {
+    size_t bytes = 0;
+    for (const std::string& l : client.lines()) bytes += l.size() + 1;
+    return bytes;
+  }();
+  ASSERT_GT(exposition_bytes, 0u);
+  const int requests = static_cast<int>(2 * 64 * 1024 / exposition_bytes) + 2;
+  const size_t from = client.lines().size();
+
+  ParkedWorker parked(&engine);
+  std::string burst;
+  for (int i = 0; i < requests; ++i) {
+    burst += "query cat section/item\nmetrics prom\n";
+  }
+  client.SendBytes(burst + "stats\n");
+  client.WaitFor("stats {");
+  const std::vector<std::string> lines = client.lines();
+  size_t eofs = 0;
+  size_t bytes = 0;
+  for (size_t i = from; i < lines.size(); ++i) {
+    bytes += lines[i].size() + 1;
+    if (lines[i] == "# EOF") ++eofs;
+  }
+  EXPECT_EQ(eofs, static_cast<size_t>(requests));
+  EXPECT_GT(bytes, static_cast<size_t>(64 * 1024));
+  const WireOrder order(lines, from);
+  EXPECT_EQ(order.ack_at.size(), static_cast<size_t>(requests));
+  EXPECT_EQ(order.result_at.size(), static_cast<size_t>(requests));
+  order.ExpectEachResultFollowsItsAck();
+
+  parked.Release();
+  client.Send("quit");
+  client.WaitFor("ok quit");
+  server.Stop();
+}
+
+TEST(SocketServerTest, SessionWritesHeldBackRepliesBeforeItBlocks) {
+  SatEngineOptions eopt;
+  eopt.num_threads = 1;
+  SatEngine engine(eopt);
+  std::string dtd_path = WriteTempDtd("socket_cap1.dtd");
+  SocketServerOptions opt;
+  opt.unix_path = SocketPath("cap1");
+  opt.session.max_inflight = 1;
+  SocketServer server(&engine, opt);
+  ASSERT_TRUE(server.Start().ok());
+  Result<net::ScopedFd> fd = net::ConnectUnix(opt.unix_path);
+  ASSERT_TRUE(fd.ok()) << fd.error();
+  TestClient client(std::move(fd).value());
+  PrimeSession(&client, dtd_path, {});
+  size_t from = client.lines().size();
+  auto saw_since_from = [&](const std::string& needle) {
+    const std::vector<std::string> lines = client.lines();
+    for (size_t i = from; i < lines.size(); ++i) {
+      if (lines[i].find(needle) != std::string::npos) return true;
+    }
+    return false;
+  };
+
+  {
+    // Two misses in one pass: the second blocks in the in-flight cap wait
+    // until the (parked) worker decides the first. The first ack must
+    // already be on the wire.
+    ParkedWorker parked(&engine);
+    client.SendBytes("query cat section/item\nquery cat **/note\n");
+    const std::string ack = client.WaitFor("ok query ");
+    EXPECT_FALSE(saw_since_from("[sat    ] section/item"));
+    parked.Release();
+    client.WaitForAll({"[sat    ] section/item", "ok query ",
+                       "[sat    ] **/note"});
+    const std::vector<std::string> lines = client.lines();
+    const WireOrder order(lines, from);
+    ASSERT_EQ(order.ack_at.size(), 2u);
+    order.ExpectEachResultFollowsItsAck();
+    // With one slot, the second ticket is acked only after the first result.
+    const uint64_t first = order.ack_at.begin()->first;
+    const uint64_t second = std::next(order.ack_at.begin())->first;
+    EXPECT_EQ(lines[order.ack_at.at(first)], ack);
+    EXPECT_LT(order.result_at.at(first), order.ack_at.at(second));
+    from = lines.size();
+  }
+  {
+    // Same for Drain: `flush` waits for the parked miss, and the miss's ack
+    // is written before it does.
+    ParkedWorker parked(&engine);
+    client.SendBytes("query cat section/heading\nflush\n");
+    client.WaitFor("ok query ");
+    EXPECT_FALSE(saw_since_from("ok flush"));
+    parked.Release();
+    client.WaitForAll({"[sat    ] section/heading", "ok flush"});
+    WireOrder(client.lines(), from).ExpectEachResultFollowsItsAck();
+  }
+
+  client.Send("quit");
+  client.WaitFor("ok quit");
+  server.Stop();
 }
 
 // --- Production hardening: auth, health, caps, throttle, lifecycles ------
