@@ -247,24 +247,18 @@ SatEngineOptions SatEngine::Normalize(SatEngineOptions options) {
   return options;
 }
 
-// The engine caches skip the caches' own probe counters (count_probes =
-// false): the engine keeps its per-request counters itself, and a second
-// contended counter cacheline per probe is exactly the serialization this
-// PR removes.
 SatEngine::SatEngine(const SatEngineOptions& options)
     : options_(Normalize(options)),
       resolved_shards_(ResolveShardTarget(options_.cache_shards)),
       dtd_cache_(options_.dtd_cache_capacity,
-                 CapShards(resolved_shards_, options_.dtd_cache_capacity / 4),
-                 /*count_probes=*/false),
+                 CapShards(resolved_shards_, options_.dtd_cache_capacity / 4)),
       query_cache_(
           options_.query_cache_capacity,
-          CapShards(resolved_shards_, options_.query_cache_capacity / 2),
-          /*count_probes=*/false),
+          CapShards(resolved_shards_, options_.query_cache_capacity / 2)),
       // Sized even when disabled (ShardedLruCache has no empty state); the
       // memo_enabled gate in Execute keeps a disabled memo untouched.
       memo_(options_.memo_capacity > 0 ? options_.memo_capacity : 1,
-            resolved_shards_, /*count_probes=*/false),
+            resolved_shards_),
       rewrite_cache_(options_.rewrite_cache_capacity > 0
                          ? std::make_unique<RewriteCache>(
                                options_.rewrite_cache_capacity,
@@ -275,9 +269,9 @@ SatEngine::SatEngine(const SatEngineOptions& options)
       start_time_(Clock::now()),
       reaper_([this] { ReaperLoop(); }),
       pool_(options_.num_threads) {
-  // Resolve the per-phase histograms once; the request path then mutates
-  // them lock-free through these pointers. (reaper_ only touches the route
-  // counters, which are constructed before it starts.)
+  // Resolve the histograms and counters once; the request path then
+  // mutates them lock-free through these pointers. (reaper_ only touches
+  // the route counters, which are constructed before it starts.)
   hist_queue_ns_ = metrics_.histogram("request_queue_ns");
   hist_parse_ns_ = metrics_.histogram("request_parse_ns");
   hist_rewrite_ns_ = metrics_.histogram("request_rewrite_ns");
@@ -286,11 +280,17 @@ SatEngine::SatEngine(const SatEngineOptions& options)
   hist_dtd_compile_ns_ = metrics_.histogram("dtd_compile_ns");
   hist_store_load_ns_ = metrics_.histogram("artifact_store_load_ns");
   slow_requests_ = metrics_.counter("slow_requests");
-  ctr_store_dtds_loaded_ = metrics_.counter("store_dtds_loaded");
-  ctr_store_memos_loaded_ = metrics_.counter("store_memos_loaded");
-  ctr_store_records_corrupt_ = metrics_.counter("store_records_corrupt");
-  ctr_store_records_rejected_ = metrics_.counter("store_records_rejected");
-  ctr_store_version_rejects_ = metrics_.counter("store_version_rejects");
+  requests_ = metrics_.counter("requests");
+  dtd_cache_hits_ = metrics_.counter("dtd_cache_hits");
+  dtd_cache_misses_ = metrics_.counter("dtd_cache_misses");
+  query_cache_hits_ = metrics_.counter("query_cache_hits");
+  query_cache_misses_ = metrics_.counter("query_cache_misses");
+  memo_misses_ = metrics_.counter("memo_misses");
+  store_dtds_loaded_ = metrics_.counter("store_dtds_loaded");
+  store_memos_loaded_ = metrics_.counter("store_memos_loaded");
+  store_records_corrupt_ = metrics_.counter("store_records_corrupt");
+  store_records_rejected_ = metrics_.counter("store_records_rejected");
+  store_version_rejects_ = metrics_.counter("store_version_rejects");
 }
 
 SatEngine::~SatEngine() {
@@ -350,8 +350,7 @@ DtdHandle SatEngine::RegisterDtd(const Dtd& dtd) {
   // artifacts), so the compile histogram lives on this path: one record per
   // actual compilation, none for cache hits.
   if (!hit) hist_dtd_compile_ns_->Record(ToNs(Clock::now() - compile_start));
-  (hit ? dtd_cache_hits_ : dtd_cache_misses_)
-      .fetch_add(1, std::memory_order_release);
+  (hit ? dtd_cache_hits_ : dtd_cache_misses_)->Increment();
   auto pin = std::make_shared<engine_internal::DtdPin>();
   pin->compiled = std::move(compiled);
   pin->id = next_handle_id_.fetch_add(1, std::memory_order_relaxed);
@@ -458,7 +457,6 @@ bool SatEngine::AnswerFromMemo(
     return true;
   });
   if (memoized == nullptr) return false;
-  memo_hits_.fetch_add(1, std::memory_order_release);
   resp->report = *memoized;
   resp->memo_hit = true;
   resp->status = Status::Ok();
@@ -467,9 +465,9 @@ bool SatEngine::AnswerFromMemo(
   return true;
 }
 
-SatResponse SatEngine::Execute(const SatRequest& request,
-                               Clock::time_point submitted,
-                               uint64_t ticket_id, CallerProbe probe) {
+SatResponse SatEngine::Execute(
+    const SatRequest& request, Clock::time_point submitted,
+    uint64_t ticket_id, std::shared_ptr<const CachedQuery> cached_query) {
   const Clock::time_point picked_up = Clock::now();
   SatResponse resp;
   resp.trace.queue_ns = ToNs(picked_up - submitted);
@@ -485,7 +483,6 @@ SatResponse SatEngine::Execute(const SatRequest& request,
     // The reaper normally cancels expired queued work before a worker ever
     // sees it; this check closes the race where a worker picks the job up
     // in the same instant the deadline passes.
-    deadline_expirations_.fetch_add(1, std::memory_order_release);
     resp = NotRunResponse("deadline",
                           "deadline expired before execution started");
     resp.trace.queue_ns = ToNs(picked_up - submitted);
@@ -496,17 +493,15 @@ SatResponse SatEngine::Execute(const SatRequest& request,
   // A query the caller found cached is used as is. One it missed is looked
   // up again before parsing: a pipelined twin submitted just ahead of it
   // may have been parsed since.
-  bool query_hit = probe.query != nullptr;
-  std::shared_ptr<const CachedQuery> query = std::move(probe.query);
+  bool query_hit = cached_query != nullptr;
+  std::shared_ptr<const CachedQuery> query = std::move(cached_query);
   std::string parse_error;
   if (!query_hit) {
     query = LookupQuery(request.query, &query_hit, &parse_error,
                         &resp.trace.parse_ns);
   }
-  (query_hit ? query_cache_hits_ : query_cache_misses_)
-      .fetch_add(1, std::memory_order_release);
+  (query_hit ? query_cache_hits_ : query_cache_misses_)->Increment();
   if (query == nullptr) {
-    parse_errors_.fetch_add(1, std::memory_order_release);
     resp.status = Status::Error("query parse error: " + parse_error);
     resp.trace.route = "parse-error";
     FinishTrace(&resp, request, ticket_id, submitted, Clock::now());
@@ -522,21 +517,18 @@ SatResponse SatEngine::Execute(const SatRequest& request,
   resp.dtd_fingerprint = compiled->fingerprint;
 
   const bool memo_enabled = options_.memo_capacity > 0;
-  std::string memo_key = std::move(probe.memo_key);
+  std::string memo_key;
   if (memo_enabled) {
-    // A key from the caller means the memo was probed there and missed;
-    // it is not probed twice. An empty key means the caller could not
-    // probe (its query-cache probe missed): probe here, which is also how a
-    // pipelined twin's verdict or a snapshot-warmed memo entry is reached.
-    if (memo_key.empty()) {
-      memo_key = MemoKey(query->canonical, compiled->fingerprint,
-                         request.options.Digest());
-      if (AnswerFromMemo(request, memo_key, compiled, ticket_id, submitted,
-                         &resp)) {
-        return resp;
-      }
+    // Probed again even when Submit's probe missed: a pipelined twin
+    // decided since then, or a snapshot-warmed entry whose query was not
+    // parsed before, answers here.
+    memo_key = MemoKey(query->canonical, compiled->fingerprint,
+                       request.options.Digest());
+    if (AnswerFromMemo(request, memo_key, compiled, ticket_id, submitted,
+                       &resp)) {
+      return resp;
     }
-    memo_misses_.fetch_add(1, std::memory_order_release);
+    memo_misses_->Increment();
   }
 
   // Reset this thread's rewrite accumulator so the span below is exactly
@@ -564,7 +556,7 @@ SatResponse SatEngine::Execute(const SatRequest& request,
 }
 
 SatTicket SatEngine::Submit(SatRequest request) {
-  requests_.fetch_add(1, std::memory_order_release);
+  requests_->Increment();
   auto state = std::make_shared<engine_internal::TicketState>();
   state->id = next_ticket_id_.fetch_add(1, std::memory_order_relaxed);
   state->future = state->promise.get_future().share();
@@ -579,21 +571,22 @@ SatTicket SatEngine::Submit(SatRequest request) {
   // Probe on the caller: a cached query with a memoized verdict needs only
   // the two probes and a copy, so it is answered right here — no pool hop,
   // no reaper entry, and a ticket that is born fulfilled. Everything else
-  // goes to the pool carrying what this probe learned.
-  CallerProbe probe;
+  // goes to the pool carrying the query-cache entry this probe found.
+  std::shared_ptr<const CachedQuery> cached_query;
   if (request.dtd.valid()) {
-    probe.query = query_cache_.Lookup(request.query).value_or(nullptr);
-    if (probe.query != nullptr && options_.memo_capacity > 0) {
+    cached_query = query_cache_.Lookup(request.query).value_or(nullptr);
+    if (cached_query != nullptr && options_.memo_capacity > 0) {
       std::shared_ptr<const CompiledDtd> compiled = request.dtd.compiled();
-      probe.memo_key = MemoKey(probe.query->canonical, compiled->fingerprint,
-                               request.options.Digest());
       SatResponse resp;
       resp.query_cache_hit = true;
       resp.dtd_fingerprint = compiled->fingerprint;
-      if (AnswerFromMemo(request, probe.memo_key, compiled, state->id,
-                         submitted, &resp)) {
-        query_cache_hits_.fetch_add(1, std::memory_order_release);
-        resp.fragment = probe.query->fragment;
+      if (AnswerFromMemo(request,
+                         MemoKey(cached_query->canonical,
+                                 compiled->fingerprint,
+                                 request.options.Digest()),
+                         compiled, state->id, submitted, &resp)) {
+        query_cache_hits_->Increment();
+        resp.fragment = cached_query->fragment;
         state->job = CancellableJob::AlreadyDone();
         state->Fulfill(std::move(resp));
         return ticket;
@@ -608,13 +601,14 @@ SatTicket SatEngine::Submit(SatRequest request) {
   // the same CAS arbitration.
   pool_.SubmitCancellable(
       state->job, [this, state, request = std::move(request), submitted,
-                   probe = std::move(probe)]() mutable {
+                   cached_query = std::move(cached_query)]() mutable {
         // The promise is always fulfilled: an exception escaping a pool job
         // would std::terminate the process (and break every ticket copy),
         // so decider failures surface as error responses instead.
         SatResponse resp;
         try {
-          resp = Execute(request, submitted, state->id, std::move(probe));
+          resp = Execute(request, submitted, state->id,
+                         std::move(cached_query));
         } catch (const std::exception& e) {
           resp = SatResponse();
           resp.status =
@@ -644,7 +638,6 @@ SatTicket SatEngine::Submit(SatRequest request) {
 bool SatEngine::TryCancel(const SatTicket& ticket) {
   if (!ticket.valid()) return false;
   if (!ticket.state_->job->TryCancel()) return false;
-  cancellations_.fetch_add(1, std::memory_order_release);
   // Never-executed fulfilments bump their route counter but no phase
   // histograms — the request has no spans to speak of.
   route_counters_.Increment("cancelled");
@@ -679,7 +672,6 @@ void SatEngine::ReaperLoop() {
     }
     // Outside the lock: Submit must never block behind promise fulfilment.
     if (expired->job->TryCancel()) {
-      deadline_expirations_.fetch_add(1, std::memory_order_release);
       route_counters_.Increment("deadline");
       expired->Fulfill(NotRunResponse(
           "deadline", "deadline expired before execution started"));
@@ -790,8 +782,7 @@ SnapshotLoadResult SatEngine::LoadSnapshot(const std::string& path) {
       case store::SnapshotOpenError::Kind::kBadVersion:
         result.error_kind = SnapshotLoadResult::ErrorKind::kVersion;
         result.file_version = open_error.file_version;
-        store_version_rejects_.fetch_add(1, std::memory_order_release);
-        ctr_store_version_rejects_->Increment();
+        store_version_rejects_->Increment();
         break;
       case store::SnapshotOpenError::Kind::kBadMagic:
         result.error_kind = SnapshotLoadResult::ErrorKind::kCorrupt;
@@ -854,8 +845,7 @@ SnapshotLoadResult SatEngine::LoadSnapshot(const std::string& path) {
                                : compiled;
       }
       ++result.dtds_loaded;
-      store_dtds_loaded_.fetch_add(1, std::memory_order_release);
-      ctr_store_dtds_loaded_->Increment();
+      store_dtds_loaded_->Increment();
     } else if (tag == static_cast<uint8_t>(store::RecordTag::kMemoEntry)) {
       if (!memo_enabled) continue;  // nothing to warm; not a data problem
       Result<store::MemoRecord> decoded = store::DecodeMemoRecord(payload);
@@ -886,8 +876,7 @@ SnapshotLoadResult SatEngine::LoadSnapshot(const std::string& path) {
                                    record.options_digest),
                            std::move(entry));
       ++result.memos_loaded;
-      store_memos_loaded_.fetch_add(1, std::memory_order_release);
-      ctr_store_memos_loaded_->Increment();
+      store_memos_loaded_->Increment();
     } else {
       // Unknown record tag within a compatible version: additive kinds from
       // a newer writer. Counted so operators see them, never guessed at.
@@ -895,14 +884,10 @@ SnapshotLoadResult SatEngine::LoadSnapshot(const std::string& path) {
     }
   }
   if (result.corrupt_records > 0) {
-    store_records_corrupt_.fetch_add(result.corrupt_records,
-                                     std::memory_order_release);
-    ctr_store_records_corrupt_->Increment(result.corrupt_records);
+    store_records_corrupt_->Increment(result.corrupt_records);
   }
   if (result.rejected_records > 0) {
-    store_records_rejected_.fetch_add(result.rejected_records,
-                                      std::memory_order_release);
-    ctr_store_records_rejected_->Increment(result.rejected_records);
+    store_records_rejected_->Increment(result.rejected_records);
   }
 
   // Stamp the load as a first-class observable phase: histogram + route
@@ -930,38 +915,40 @@ uint64_t SatEngine::live_dtd_handles() const {
 
 SatEngineStats SatEngine::stats() const {
   // Load order is part of the contract (see SatEngineStats): per-request
-  // *outcome* counters first, `requests` last, all with acquire ordering
-  // against the release increments. A request's `requests` bump
-  // happens-before its outcome bump (a memo hit answered in Submit bumps
-  // both on the submitting thread, in that order; any other request is
-  // enqueued through the pool's queue lock before a worker runs it), so any
-  // outcome this snapshot observes has its request already counted by the
-  // later `requests` load — the documented <= invariants hold for every
+  // *outcome* counts first, `requests` last, all acquire loads against
+  // release increments. A request's `requests` bump happens-before its
+  // outcome bump (a memo hit answered in Submit bumps both on the
+  // submitting thread, in that order; any other request is enqueued
+  // through the pool's queue lock before a worker runs it), so any outcome
+  // this snapshot observes has its request already counted by the later
+  // `requests` load — the documented <= invariants hold for every
   // snapshot, mid-flight included.
   SatEngineStats s;
-  s.memo_hits = memo_hits_.load(std::memory_order_acquire);
-  s.memo_misses = memo_misses_.load(std::memory_order_acquire);
-  s.parse_errors = parse_errors_.load(std::memory_order_acquire);
-  s.cancellations = cancellations_.load(std::memory_order_acquire);
-  s.deadline_expirations =
-      deadline_expirations_.load(std::memory_order_acquire);
-  s.query_cache_hits = query_cache_hits_.load(std::memory_order_acquire);
-  s.query_cache_misses = query_cache_misses_.load(std::memory_order_acquire);
+  const std::map<std::string, uint64_t> routes =
+      route_counters_.TakeSnapshot();
+  auto route = [&routes](const char* name) {
+    auto it = routes.find(name);
+    return it == routes.end() ? uint64_t{0} : it->second;
+  };
+  s.memo_hits = route("memo-hit");
+  s.parse_errors = route("parse-error");
+  s.cancellations = route("cancelled");
+  s.deadline_expirations = route("deadline");
+  s.memo_misses = memo_misses_->value();
+  s.query_cache_hits = query_cache_hits_->value();
+  s.query_cache_misses = query_cache_misses_->value();
   if (rewrite_cache_ != nullptr) {
     s.rewrite_cache_hits = rewrite_cache_->hits();
     s.rewrite_cache_misses = rewrite_cache_->misses();
   }
-  s.dtd_cache_hits = dtd_cache_hits_.load(std::memory_order_acquire);
-  s.dtd_cache_misses = dtd_cache_misses_.load(std::memory_order_acquire);
-  s.store_dtds_loaded = store_dtds_loaded_.load(std::memory_order_acquire);
-  s.store_memos_loaded = store_memos_loaded_.load(std::memory_order_acquire);
-  s.store_records_corrupt =
-      store_records_corrupt_.load(std::memory_order_acquire);
-  s.store_records_rejected =
-      store_records_rejected_.load(std::memory_order_acquire);
-  s.store_version_rejects =
-      store_version_rejects_.load(std::memory_order_acquire);
-  s.requests = requests_.load(std::memory_order_acquire);
+  s.dtd_cache_hits = dtd_cache_hits_->value();
+  s.dtd_cache_misses = dtd_cache_misses_->value();
+  s.store_dtds_loaded = store_dtds_loaded_->value();
+  s.store_memos_loaded = store_memos_loaded_->value();
+  s.store_records_corrupt = store_records_corrupt_->value();
+  s.store_records_rejected = store_records_rejected_->value();
+  s.store_version_rejects = store_version_rejects_->value();
+  s.requests = requests_->value();
   s.uptime_ms = uptime_ms();
   s.snapshot_seq = NextSnapshotSeq();
   return s;

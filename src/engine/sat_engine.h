@@ -278,14 +278,22 @@ struct SnapshotLoadResult {
   bool truncated = false;
 };
 
-/// Monotonic counters over the engine's lifetime.
+/// Monotonic counters over the engine's lifetime: the typed view stats()
+/// fills from the one place each count lives. `requests`, the DTD- and
+/// query-cache counters, `memo_misses` and the store counters are counters
+/// of the engine's MetricsRegistry (same names; `metrics` exposes them).
+/// `memo_hits`, `parse_errors`, `cancellations` and `deadline_expirations`
+/// are the route counts of `memo-hit`, `parse-error`, `cancelled` and
+/// `deadline` (the request's route is its outcome, counted once). The
+/// rewrite-cache counters are RewriteCache's own.
 ///
 /// Snapshot consistency: stats() is not one atomic snapshot (counters are
 /// independent atomics updated lock-free on the hot path), but it is more
-/// than a bag of racy reads. Every counter is monotonic, increments use
-/// release ordering, and stats() loads the per-request *outcome* counters
-/// BEFORE loading `requests` (with acquire ordering), so every snapshot —
-/// even one taken mid-flight from another thread — satisfies:
+/// than a bag of racy reads. Every counter is monotonic, registry counters
+/// and route counts are incremented with release ordering, and stats()
+/// acquire-loads the per-request *outcome* counts (route snapshot included)
+/// BEFORE loading `requests`, so every snapshot — even one taken mid-flight
+/// from another thread — satisfies:
 ///
 ///   memo_hits + memo_misses + parse_errors + cancellations
 ///       + deadline_expirations <= requests
@@ -413,9 +421,11 @@ class SatEngine {
 
   /// The engine's metrics registry: per-phase latency histograms
   /// (request_queue_ns, request_parse_ns, request_rewrite_ns,
-  /// request_decide_ns, request_total_ns, dtd_compile_ns) and the
-  /// slow_requests counter. Mutated lock-free by the request path; render
-  /// with obs::RenderMetricsJson / RenderMetricsProm.
+  /// request_decide_ns, request_total_ns, dtd_compile_ns,
+  /// artifact_store_load_ns), the slow_requests counter, and the
+  /// registry-backed SatEngineStats counters under their stats names.
+  /// Mutated lock-free by the request path; render with
+  /// obs::RenderMetricsJson / RenderMetricsProm.
   const obs::MetricsRegistry& metrics() const { return metrics_; }
   /// Per-dispatch-route fulfilment counters: one increment per completed
   /// request, keyed by SatReport::algorithm (the Sec. 8 dispatch cell) or a
@@ -463,24 +473,19 @@ class SatEngine {
   /// constructed from the stored options.
   static SatEngineOptions Normalize(SatEngineOptions options);
 
-  /// What Submit's probe on the calling thread learned, handed to the pool
-  /// job so a request that missed there is never probed twice.
-  struct CallerProbe {
-    /// The query-cache entry; null on a query-cache miss (the pool looks
-    /// it up again and parses it if still absent).
-    std::shared_ptr<const CachedQuery> query;
-    /// The memo key, set iff the memo was probed (and missed).
-    std::string memo_key;
-  };
-
+  /// Runs one request on a pool worker. `cached_query` is the query-cache
+  /// entry Submit's probe found (null on a miss: the worker looks it up
+  /// again and parses it if still absent). The memo is always probed here
+  /// again, so a pipelined repeat queued behind its not-yet-decided twin is
+  /// answered from the twin's verdict instead of being decided twice.
   SatResponse Execute(const SatRequest& request, Clock::time_point submitted,
-                      uint64_t ticket_id, CallerProbe probe);
+                      uint64_t ticket_id,
+                      std::shared_ptr<const CachedQuery> cached_query);
   /// The memo-hit path, shared by Submit's probe on the calling thread and
-  /// by Execute, which reaches it for queries the caller did not find in
-  /// the query cache (a snapshot-warmed memo entry, say, whose query has
-  /// not been parsed since the restart). Probes the memo under the
-  /// EquivalentTo collision check; on a hit fills `resp`'s verdict, counts
-  /// the hit, finishes the trace and returns true. A miss touches nothing.
+  /// by Execute's probe on the worker. Probes the memo under the
+  /// EquivalentTo collision check; on a hit fills `resp`'s verdict,
+  /// finishes the trace (its `memo-hit` route count is the hit count) and
+  /// returns true. A miss touches nothing.
   bool AnswerFromMemo(const SatRequest& request, const std::string& memo_key,
                       const std::shared_ptr<const CompiledDtd>& compiled,
                       uint64_t ticket_id, Clock::time_point submitted,
@@ -535,28 +540,11 @@ class SatEngine {
   std::atomic<uint64_t> next_handle_id_{1};
   std::atomic<uint64_t> next_ticket_id_{1};
 
-  // Lock-free counters: the request hot path never takes any lock just to
-  // account for itself. Release increments + the ordered acquire loads in
-  // stats() give the snapshot contract documented on SatEngineStats.
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> dtd_cache_hits_{0};
-  std::atomic<uint64_t> dtd_cache_misses_{0};
-  std::atomic<uint64_t> query_cache_hits_{0};
-  std::atomic<uint64_t> query_cache_misses_{0};
-  std::atomic<uint64_t> memo_hits_{0};
-  std::atomic<uint64_t> memo_misses_{0};
-  std::atomic<uint64_t> parse_errors_{0};
-  std::atomic<uint64_t> cancellations_{0};
-  std::atomic<uint64_t> deadline_expirations_{0};
-  // Artifact-store load accounting (LoadSnapshot; not per-request).
-  std::atomic<uint64_t> store_dtds_loaded_{0};
-  std::atomic<uint64_t> store_memos_loaded_{0};
-  std::atomic<uint64_t> store_records_corrupt_{0};
-  std::atomic<uint64_t> store_records_rejected_{0};
-  std::atomic<uint64_t> store_version_rejects_{0};
-
-  // Observability: the histograms are resolved once here (registry lookups
-  // are mutex-guarded) and mutated lock-free by the request path.
+  // Observability: the registry is the one home of every engine count.
+  // Histograms and counters are resolved once in the constructor (registry
+  // lookups are mutex-guarded) and mutated lock-free by the request path;
+  // the release increments plus the ordered acquire loads in stats() give
+  // the snapshot contract documented on SatEngineStats.
   obs::MetricsRegistry metrics_;
   obs::RouteCounters route_counters_;
   obs::SlowQueryLog slow_log_;
@@ -568,13 +556,18 @@ class SatEngine {
   obs::Histogram* hist_dtd_compile_ns_ = nullptr;
   obs::Histogram* hist_store_load_ns_ = nullptr;
   obs::Counter* slow_requests_ = nullptr;
-  // Store counters mirrored into the metrics registry so `metrics` /
-  // `metrics prom` expose warm-load health without a stats() call.
-  obs::Counter* ctr_store_dtds_loaded_ = nullptr;
-  obs::Counter* ctr_store_memos_loaded_ = nullptr;
-  obs::Counter* ctr_store_records_corrupt_ = nullptr;
-  obs::Counter* ctr_store_records_rejected_ = nullptr;
-  obs::Counter* ctr_store_version_rejects_ = nullptr;
+  obs::Counter* requests_ = nullptr;
+  obs::Counter* dtd_cache_hits_ = nullptr;
+  obs::Counter* dtd_cache_misses_ = nullptr;
+  obs::Counter* query_cache_hits_ = nullptr;
+  obs::Counter* query_cache_misses_ = nullptr;
+  obs::Counter* memo_misses_ = nullptr;
+  // Artifact-store load accounting (LoadSnapshot; not per-request).
+  obs::Counter* store_dtds_loaded_ = nullptr;
+  obs::Counter* store_memos_loaded_ = nullptr;
+  obs::Counter* store_records_corrupt_ = nullptr;
+  obs::Counter* store_records_rejected_ = nullptr;
+  obs::Counter* store_version_rejects_ = nullptr;
   Clock::time_point start_time_;
   mutable std::atomic<uint64_t> snapshot_seq_{0};
 

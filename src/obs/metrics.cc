@@ -116,11 +116,11 @@ void RouteCounters::Increment(const std::string& route, uint64_t n) {
       delete fresh;  // lost the race; `node` now holds the winner
     }
     if (node->name == route) {
-      node->count.fetch_add(n, std::memory_order_relaxed);
+      node->count.fetch_add(n, std::memory_order_release);
       return;
     }
   }
-  overflow_.fetch_add(n, std::memory_order_relaxed);
+  overflow_.fetch_add(n, std::memory_order_release);
 }
 
 std::map<std::string, uint64_t> RouteCounters::TakeSnapshot() const {
@@ -128,10 +128,10 @@ std::map<std::string, uint64_t> RouteCounters::TakeSnapshot() const {
   for (const auto& slot : slots_) {
     const Node* node = slot.load(std::memory_order_acquire);
     if (node != nullptr) {
-      out[node->name] += node->count.load(std::memory_order_relaxed);
+      out[node->name] += node->count.load(std::memory_order_acquire);
     }
   }
-  const uint64_t overflow = overflow_.load(std::memory_order_relaxed);
+  const uint64_t overflow = overflow_.load(std::memory_order_acquire);
   if (overflow != 0) out["(overflow)"] = overflow;
   return out;
 }

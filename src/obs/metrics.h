@@ -9,13 +9,19 @@
 /// name (MetricsRegistry::counter/gauge/histogram) is mutex-guarded but is a
 /// cold, once-per-name operation whose result should be cached by the caller.
 ///
-/// Snapshot contract (same shape as SatEngineStats): Record() bumps the
-/// bucket/sum/max cells with relaxed ordering and *then* the total count with
-/// release ordering; Snapshot() loads the count with acquire ordering *first*
-/// and the cells afterwards. A mid-flight snapshot may therefore observe
-/// bucket totals summing to >= the observed count (never less), and at
-/// quiescence (all recording threads joined or provably idle) every snapshot
-/// is exact.
+/// Snapshot contract. Histograms: Record() bumps the bucket/sum/max cells
+/// with relaxed ordering and *then* the total count with release ordering;
+/// TakeSnapshot() loads the count with acquire ordering *first* and the
+/// cells afterwards. A mid-flight snapshot may therefore observe bucket
+/// totals summing to >= the observed count (never less), and at quiescence
+/// (all recording threads joined or provably idle) every snapshot is exact.
+///
+/// Counters and route counts: every increment is a release RMW (one
+/// `lock xadd` on x86, like a relaxed one) and every read an acquire load.
+/// A reader that observes an increment therefore also observes everything
+/// the incrementing thread did before it — which is what lets
+/// SatEngine::stats() read outcome counts before `requests` and keep its
+/// documented <= invariants mid-flight.
 
 #include <atomic>
 #include <cstdint>
@@ -33,7 +39,9 @@ namespace obs {
 /// Monotonic event counter.
 class Counter {
  public:
-  void Increment(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
+  void Increment(uint64_t n = 1) {
+    value_.fetch_add(n, std::memory_order_release);
+  }
   uint64_t value() const { return value_.load(std::memory_order_acquire); }
 
  private:
@@ -98,8 +106,9 @@ class Histogram {
 /// Lock-free counter table keyed by small, low-cardinality strings (the
 /// Sec. 8 dispatch-route names). Insertion of a never-seen route CAS-installs
 /// a heap node into an open-addressed slot array; subsequent increments are a
-/// probe plus one relaxed fetch_add. The table never resizes: once full,
-/// increments for unseen routes land on `overflow` instead of being lost.
+/// probe plus one release fetch_add, and TakeSnapshot acquire-loads every
+/// count. The table never resizes: once full, increments for unseen routes
+/// land on `overflow` instead of being lost.
 class RouteCounters {
  public:
   static constexpr size_t kNumSlots = 256;

@@ -202,7 +202,7 @@ Result<std::shared_ptr<const PathExpr>> RewriteCache::GetOrRewrite(
     const PathExpr& p, const CompiledDtd& compiled) {
   const std::string key = RewriteKey(p.ToString(), compiled.fingerprint);
   std::shared_ptr<const PathExpr> served;
-  cache_.LookupWith(key, [&](Entry& entry) {
+  const bool hit = cache_.LookupWith(key, [&](Entry& entry) {
     // Pointer equality is the fast path (CompiledDtds compiled once and
     // shared carry one shared_dtd); the structural check only runs after an
     // eviction+recompile, and the pin is refreshed so later hits for the
@@ -214,7 +214,8 @@ Result<std::shared_ptr<const PathExpr>> RewriteCache::GetOrRewrite(
     served = entry.rewritten;
     return true;
   });
-  if (served != nullptr) return served;
+  (hit ? hits_ : misses_).fetch_add(1, std::memory_order_release);
+  if (hit) return served;
 
   const auto rewrite_start = std::chrono::steady_clock::now();
   Result<std::unique_ptr<PathExpr>> rewritten =

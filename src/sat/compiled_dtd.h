@@ -12,6 +12,7 @@
 #ifndef XPATHSAT_SAT_COMPILED_DTD_H_
 #define XPATHSAT_SAT_COMPILED_DTD_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -124,9 +125,9 @@ class RewriteCache {
 
   /// Aggregate probe counters (a rejected fingerprint-collision hit counts
   /// as a miss). A single request can probe more than once when the dispatch
-  /// tries several deciders.
-  uint64_t hits() const { return cache_.hits(); }
-  uint64_t misses() const { return cache_.misses(); }
+  /// tries several deciders. Release increments, acquire reads.
+  uint64_t hits() const { return hits_.load(std::memory_order_acquire); }
+  uint64_t misses() const { return misses_.load(std::memory_order_acquire); }
   size_t num_shards() const { return cache_.num_shards(); }
 
   /// Returns the nanoseconds this thread has spent computing Prop 3.3
@@ -145,6 +146,8 @@ class RewriteCache {
     std::shared_ptr<const PathExpr> rewritten;
   };
   ShardedLruCache<std::string, Entry> cache_;
+  std::atomic<uint64_t> hits_{0};
+  std::atomic<uint64_t> misses_{0};
 };
 
 }  // namespace xpathsat

@@ -12,21 +12,39 @@
 namespace xpathsat {
 namespace server {
 
-namespace {
-
-// Fallback `metrics` render over the engine's registry alone — the --serve
-// shape. The socket server injects producers that merge its own reactor and
-// queue metrics into the same render.
-obs::MetricsRenderInput EngineRenderInput(SatEngine* engine) {
-  obs::MetricsRenderInput in;
-  in.registries = {&engine->metrics()};
-  in.routes = &engine->routes();
-  in.uptime_ms = engine->uptime_ms();
-  in.snapshot_seq = engine->NextSnapshotSeq();
-  return in;
+std::string StatsJson(const SatEngine& engine,
+                      const obs::MetricsRegistry* server_metrics) {
+  const std::string engine_json =
+      protocol::FormatStatsJson(engine.stats(), engine.live_dtd_handles());
+  if (server_metrics == nullptr) return engine_json;
+  const obs::MetricsRegistry::Snapshot snap = server_metrics->TakeSnapshot();
+  auto counter = [&snap](const char* name) {
+    auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? uint64_t{0} : it->second;
+  };
+  auto active = snap.gauges.find("connections_active");
+  std::ostringstream out;
+  out << "{\"status\": \"ok\""
+      << ", \"connections_active\": "
+      << (active == snap.gauges.end() ? 0 : active->second)
+      << ", \"connections_accepted\": " << counter("connections_accepted")
+      << ", \"connections_rejected\": " << counter("connections_rejected")
+      << ", \"connections_throttled\": " << counter("connections_throttled")
+      << ", \"idle_evictions\": " << counter("idle_evictions")
+      << ", \"engine\": " << engine_json << "}";
+  return out.str();
 }
 
-}  // namespace
+obs::MetricsRenderInput MetricsInput(
+    const SatEngine& engine, const obs::MetricsRegistry* server_metrics) {
+  obs::MetricsRenderInput in;
+  in.registries = {&engine.metrics()};
+  if (server_metrics != nullptr) in.registries.push_back(server_metrics);
+  in.routes = &engine.routes();
+  in.uptime_ms = engine.uptime_ms();
+  in.snapshot_seq = engine.NextSnapshotSeq();
+  return in;
+}
 
 // Result callbacks run on engine threads (or inline on the session's own
 // thread, for tickets already complete when the callback is attached — memo
@@ -268,12 +286,7 @@ void ServerSession::HandleCommand(const protocol::Command& command) {
                       std::to_string(engine_->uptime_ms()) + "}");
         return;
       }
-      shared_->sink("health " +
-                    (options_.health_json
-                         ? options_.health_json()
-                         : protocol::FormatStatsJson(
-                               engine_->stats(),
-                               engine_->live_dtd_handles())));
+      shared_->sink("health " + StatsJson(*engine_, options_.server_metrics));
       return;
     case Verb::kHello: {
       // `batch` is the one grantable feature; `binary` is always declined
@@ -403,30 +416,20 @@ void ServerSession::HandleCommand(const protocol::Command& command) {
       shared_->sink("ok flush");
       return;
     case Verb::kStats:
-      // Same injection pattern as health: the socket server serves the
-      // merged connection+engine object for both verbs, so `stats` over a
-      // socket and `health` never disagree on fields; the fallback is the
-      // engine-only object (the `--serve` shape).
-      shared_->sink("stats " +
-                    (options_.stats_json
-                         ? options_.stats_json()
-                         : protocol::FormatStatsJson(
-                               engine_->stats(),
-                               engine_->live_dtd_handles())));
+      // The same renderer as an authenticated `health`, so the two verbs
+      // never disagree on fields.
+      shared_->sink("stats " + StatsJson(*engine_, options_.server_metrics));
       return;
     case Verb::kMetrics: {
       if (command.arg == "prom") {
         // The exposition is inherently multi-line; the sink contract is one
-        // line per call, so split here. The producer guarantees a trailing
+        // line per call, so split here. The renderer guarantees a trailing
         // "# EOF" line, which is the client's end-of-reply marker.
-        const std::string text =
-            options_.metrics_prom
-                ? options_.metrics_prom()
-                : obs::RenderMetricsProm(EngineRenderInput(engine_));
+        const std::string text = obs::RenderMetricsProm(
+            MetricsInput(*engine_, options_.server_metrics));
         // Every line is forwarded, including blank ones: the wire
-        // exposition must match the producer's rendering byte-for-byte
-        // (modulo line framing), or scrapers see different content through
-        // the socket than through --serve.
+        // exposition must match the renderer's output byte-for-byte
+        // (modulo line framing).
         size_t start = 0;
         while (start < text.size()) {
           size_t nl = text.find('\n', start);
@@ -436,10 +439,8 @@ void ServerSession::HandleCommand(const protocol::Command& command) {
         }
       } else {
         shared_->sink("metrics " +
-                      (options_.metrics_json
-                           ? options_.metrics_json()
-                           : obs::RenderMetricsJson(
-                                 EngineRenderInput(engine_))));
+                      obs::RenderMetricsJson(
+                          MetricsInput(*engine_, options_.server_metrics)));
       }
       return;
     }

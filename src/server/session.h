@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "src/engine/sat_engine.h"
+#include "src/obs/metrics.h"
 #include "src/server/protocol.h"
 
 namespace xpathsat {
@@ -60,22 +61,28 @@ struct SessionOptions {
   /// unauthenticated, so load balancers can probe without the secret).
   /// Anything else answers `err auth-required` and closes the session.
   std::string auth_secret;
-  /// Producer for the `health` reply's JSON object. The socket server
-  /// injects one that merges its connection counters with the engine stats;
-  /// unset falls back to the engine stats JSON alone.
-  std::function<std::string()> health_json;
-  /// Producer for the `stats` reply's JSON object. The socket server injects
-  /// the same merged object it serves for `health` (single source of truth);
-  /// unset falls back to the engine stats JSON alone (the `--serve` shape).
-  std::function<std::string()> stats_json;
-  /// Producer for the `metrics` reply's JSON object. Unset falls back to the
-  /// engine's registry + route counters alone; the socket server injects one
-  /// that merges its reactor/queue gauges in.
-  std::function<std::string()> metrics_json;
-  /// Producer for the `metrics prom` multi-line text exposition (must end
-  /// with a "# EOF" line). Same fallback/injection split as metrics_json.
-  std::function<std::string()> metrics_prom;
+  /// The front end's own registry, or null. The socket server sets its
+  /// registry (connection counters, worker queue, reactor loop); then
+  /// `stats` and `health` answer the server object wrapping the engine
+  /// stats, and `metrics` / `metrics prom` render both registries. Null
+  /// (`--serve`) renders the engine alone. Must outlive the session.
+  const obs::MetricsRegistry* server_metrics = nullptr;
 };
+
+/// The one `stats`/`health` JSON object. With `server_metrics`:
+/// {"status": "ok", "connections_active": N, "connections_accepted": N,
+/// "connections_rejected": N, "connections_throttled": N,
+/// "idle_evictions": N, "engine": <engine stats>}, every count read from
+/// that registry. Without: the engine stats object alone
+/// (protocol::FormatStatsJson).
+std::string StatsJson(const SatEngine& engine,
+                      const obs::MetricsRegistry* server_metrics);
+
+/// What `metrics`, `metrics prom` and `xpathsat_server --metrics-dump-ms`
+/// render: the engine registry, then `server_metrics` when non-null, the
+/// engine's route counts, its uptime and the next snapshot sequence number.
+obs::MetricsRenderInput MetricsInput(
+    const SatEngine& engine, const obs::MetricsRegistry* server_metrics);
 
 class ServerSession {
  public:

@@ -69,8 +69,8 @@ struct SocketServerOptions {
   /// TCP bind address; loopback by default — binding wider than loopback is
   /// an explicit caller decision (pair it with auth_secret).
   std::string tcp_host = "127.0.0.1";
-  /// Forwarded to every connection's session (auth_secret and health_json
-  /// below override the corresponding session fields).
+  /// Forwarded to every connection's session (auth_secret below overrides
+  /// the session's, and server_metrics is set to this server's registry).
   SessionOptions session;
   /// Per-line byte cap before a connection's input is answered with
   /// `err oversized-line` and discarded to the next newline.
@@ -131,37 +131,29 @@ class SocketServer {
   /// Connections actually admitted to service (rejected/throttled/stop-race
   /// accepts are NOT counted here — see connections_rejected()).
   uint64_t connections_accepted() const {
-    return connections_accepted_.load(std::memory_order_relaxed);
+    return connections_accepted_->value();
   }
   /// Admitted connections not yet torn down.
   uint64_t connections_active() const {
-    return connections_active_.load(std::memory_order_relaxed);
+    return static_cast<uint64_t>(connections_active_->value());
   }
   /// Accepts answered `err busy` (max_connections cap).
   uint64_t connections_rejected() const {
-    return connections_rejected_.load(std::memory_order_relaxed);
+    return connections_rejected_->value();
   }
   /// Accepts answered `err throttled` (per-IP rate).
   uint64_t connections_throttled() const {
-    return connections_throttled_.load(std::memory_order_relaxed);
+    return connections_throttled_->value();
   }
   /// Connections evicted by the idle timeout.
-  uint64_t idle_evictions() const {
-    return idle_evictions_.load(std::memory_order_relaxed);
-  }
+  uint64_t idle_evictions() const { return idle_evictions_->value(); }
 
-  /// The `health` reply's JSON object: server connection counters plus the
-  /// engine stats (also what load balancers poll). The socket-served `stats`
-  /// verb answers this same object — one source of truth for both.
-  std::string HealthJson() const;
-
-  /// The `metrics` reply's JSON object: engine histograms/routes merged
-  /// with the server's reactor-loop and worker-queue metrics (connection
-  /// counters mirrored in as gauges at snapshot time).
-  std::string MetricsJson();
-  /// The `metrics prom` multi-line text exposition over the same merged
-  /// inputs; ends with a "# EOF" line.
-  std::string MetricsProm();
+  /// The server's own registry: the connection counters and gauge above,
+  /// worker-queue depth/wait and reactor-loop busy time. Every session gets
+  /// it as SessionOptions::server_metrics, so `stats`, `health` and
+  /// `metrics` render these counts from here (see StatsJson and
+  /// MetricsInput in session.h).
+  const obs::MetricsRegistry& metrics() const { return metrics_; }
 
  private:
   // Per-connection write-side state, shared between the session's output
@@ -285,10 +277,6 @@ class SocketServer {
   // Any thread.
   void Wake();
 
-  // Observability plumbing (metrics definitions in the ctor).
-  obs::MetricsRenderInput BuildRenderInput();
-  void MirrorConnectionGauges();
-
   SatEngine* engine_;
   SocketServerOptions options_;
   int bound_tcp_port_ = -1;
@@ -331,15 +319,16 @@ class SocketServer {
   // is still live.
   util::Mutex stop_mu_;
   bool stopped_ GUARDED_BY(stop_mu_) = false;
-  std::atomic<uint64_t> connections_accepted_{0};
-  std::atomic<uint64_t> connections_active_{0};
-  std::atomic<uint64_t> connections_rejected_{0};
-  std::atomic<uint64_t> connections_throttled_{0};
-  std::atomic<uint64_t> idle_evictions_{0};
 
-  // Server-side metrics: worker-queue depth/wait and reactor-loop busy time,
-  // mutated lock-free on the serving paths through pre-resolved pointers.
+  // Server-side metrics, the one home of every server count: connection
+  // counters, worker-queue depth/wait and reactor-loop busy time, mutated
+  // lock-free on the serving paths through pointers resolved in the ctor.
   obs::MetricsRegistry metrics_;
+  obs::Counter* connections_accepted_ = nullptr;
+  obs::Gauge* connections_active_ = nullptr;
+  obs::Counter* connections_rejected_ = nullptr;
+  obs::Counter* connections_throttled_ = nullptr;
+  obs::Counter* idle_evictions_ = nullptr;
   obs::Gauge* queue_depth_ = nullptr;
   obs::Histogram* queue_wait_hist_ = nullptr;
   obs::Histogram* reactor_busy_hist_ = nullptr;

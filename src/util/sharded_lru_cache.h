@@ -25,10 +25,10 @@
 //     existing entry is never clobbered (callers that must verify hits
 //     beyond key equality, e.g. against fingerprint collisions, do so in
 //     LookupIf's accept predicate and handle rejection themselves).
-//   * hits()/misses() are aggregate atomic counters. Increments use release
-//     ordering and the accessors acquire, so a reader that observes a
-//     counter value also observes every cache mutation that preceded it
-//     (the engine's stats-snapshot invariants build on this).
+//   * The cache counts nothing: Lookup/LookupIf/LookupWith report the
+//     outcome of each probe, and callers that account for probes (the
+//     engine's registry counters, RewriteCache's own two counters) count
+//     them once, where they know what the probe meant.
 //
 // Lock discipline (Clang -Wthread-safety checked): each shard's LRU list
 // and index are GUARDED_BY that shard's mutex; the under-lock bodies live
@@ -44,7 +44,6 @@
 #ifndef XPATHSAT_UTIL_SHARDED_LRU_CACHE_H_
 #define XPATHSAT_UTIL_SHARDED_LRU_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -78,13 +77,8 @@ class ShardedLruCache {
   /// `capacity` is the aggregate entry budget (>= 1; 0 is clamped to 1).
   /// `num_shards` of 0 picks DefaultCacheShards(); any value is rounded up
   /// to a power of two and clamped to [1, capacity] so every shard can hold
-  /// at least one entry. `count_probes` = false skips the hit/miss counters
-  /// entirely (hits()/misses() stay 0) — for callers that keep their own
-  /// accounting and do not want a second contended counter cacheline on
-  /// every probe.
-  explicit ShardedLruCache(size_t capacity, size_t num_shards = 0,
-                           bool count_probes = true)
-      : count_probes_(count_probes) {
+  /// at least one entry.
+  explicit ShardedLruCache(size_t capacity, size_t num_shards = 0) {
     if (capacity < 1) capacity = 1;
     size_t requested = num_shards == 0 ? DefaultCacheShards() : num_shards;
     size_t shards = 1;
@@ -102,7 +96,7 @@ class ShardedLruCache {
   }
 
   /// Returns a copy of the resident value (touching it to the shard's LRU
-  /// front), or nullopt. Counts one hit or one miss.
+  /// front), or nullopt.
   std::optional<V> Lookup(const K& key) {
     return LookupIf(key, [](V&) { return true; });
   }
@@ -110,7 +104,7 @@ class ShardedLruCache {
   /// Lookup with verification: `accept(V&)` runs under the shard lock on the
   /// resident entry and may mutate it in place; returning false rejects the
   /// hit (the entry stays resident and untouched in LRU order) and the call
-  /// counts as a miss. Use for hits that need checking beyond key equality
+  /// reports a miss. Use for hits that need checking beyond key equality
   /// (fingerprint-collision verification) or refreshing (memo pin updates).
   template <typename Accept>
   std::optional<V> LookupIf(const K& key, Accept&& accept) {
@@ -129,21 +123,13 @@ class ShardedLruCache {
   template <typename Accept>
   bool LookupWith(const K& key, Accept&& accept) {
     Shard& shard = ShardFor(key);
-    bool hit = false;
-    {
-      util::MutexLock lock(shard.mu);
-      hit = LookupInShard(shard, key, accept);
-    }
-    if (count_probes_) {
-      (hit ? hits_ : misses_).fetch_add(1, std::memory_order_release);
-    }
-    return hit;
+    util::MutexLock lock(shard.mu);
+    return LookupInShard(shard, key, accept);
   }
 
   /// Inserts key -> value unless the key is already resident, and returns
   /// the resident value either way (touched to the LRU front). On insert the
-  /// shard evicts its own LRU tail past capacity. Does not count hit/miss —
-  /// callers pair it with a Lookup/LookupIf that already did.
+  /// shard evicts its own LRU tail past capacity.
   V InsertIfAbsent(const K& key, V value) {
     Shard& shard = ShardFor(key);
     util::MutexLock lock(shard.mu);
@@ -155,8 +141,8 @@ class ShardedLruCache {
   /// order). Entries inserted or evicted concurrently in shards not yet
   /// visited may or may not be seen — a consistent-per-shard snapshot, not
   /// a global one. `fn` runs under a shard lock: it must be quick, must not
-  /// block, and must not reenter this cache. Does not touch LRU order and
-  /// counts no probes. The artifact store's save path walks the caches with
+  /// block, and must not reenter this cache. Does not touch LRU order. The
+  /// artifact store's save path walks the caches with
   /// this.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
@@ -180,8 +166,6 @@ class ShardedLruCache {
 
   size_t num_shards() const { return mask_ + 1; }
   size_t per_shard_capacity() const { return per_shard_capacity_; }
-  uint64_t hits() const { return hits_.load(std::memory_order_acquire); }
-  uint64_t misses() const { return misses_.load(std::memory_order_acquire); }
 
  private:
   // alignas(64): shard locks on separate cache lines, so contention on one
@@ -236,10 +220,7 @@ class ShardedLruCache {
 
   size_t mask_ = 0;
   size_t per_shard_capacity_ = 1;
-  bool count_probes_ = true;
   std::unique_ptr<Shard[]> shards_;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
 };
 
 }  // namespace xpathsat

@@ -962,6 +962,53 @@ TEST(SatTicketCallbackTest, MemoHitIsAnsweredOnTheSubmittingThread) {
   EXPECT_EQ(engine.routes().TakeSnapshot()["memo-hit"], 2u);
 }
 
+TEST(SatTicketCallbackTest, PipelinedRepeatsOfACachedQueryAreDecidedOnce) {
+  // The query is in the query cache (parsed for another schema) but has no
+  // verdict for this one, so Submit's probe misses the memo for every copy
+  // and all of them queue behind the parked worker. The first copy decides;
+  // every later one finds that verdict when the worker probes the memo.
+  Dtd d = MakeHeavyDtd();
+  Dtd other = ParseDtdOrDie("root r\nr -> section*\nsection -> item\n"
+                            "item -> eps\n");
+  SatEngineOptions opt;
+  opt.num_threads = 1;
+  SatEngine engine(opt);
+  DtdHandle handle = engine.RegisterDtd(d);
+  SatRequest warm;
+  warm.query = "section/item";
+  warm.dtd = engine.RegisterDtd(other);
+  ASSERT_TRUE(engine.Run(warm).status.ok());
+  const SatEngineStats before = engine.stats();
+
+  ParkedWorker parked(&engine);
+  const int kCopies = 20;
+  std::vector<SatTicket> tickets;
+  for (int i = 0; i < kCopies; ++i) {
+    SatRequest r;
+    r.query = "section/item";
+    r.dtd = handle;
+    tickets.push_back(engine.Submit(std::move(r)));
+    EXPECT_FALSE(tickets.back().Ready());
+  }
+  parked.Release();
+  int decided = 0;
+  for (const SatTicket& t : tickets) {
+    const SatResponse resp = t.Get();
+    ASSERT_TRUE(resp.status.ok());
+    EXPECT_TRUE(resp.query_cache_hit);
+    EXPECT_TRUE(resp.report.sat());
+    if (!resp.memo_hit) ++decided;
+  }
+  EXPECT_EQ(decided, 1);
+
+  const SatEngineStats after = engine.stats();
+  EXPECT_EQ(after.memo_misses - before.memo_misses, 1u);
+  EXPECT_EQ(after.memo_hits - before.memo_hits,
+            static_cast<uint64_t>(kCopies - 1));
+  EXPECT_EQ(after.query_cache_hits - before.query_cache_hits,
+            static_cast<uint64_t>(kCopies));
+}
+
 // --- Request traces and the observability surfaces --------------------------
 
 TEST(SatEngineTest, TraceSpansCoverThePhasesThatRan) {
@@ -1128,6 +1175,75 @@ TEST(SatEngineTest, StatsCarryUptimeAndMonotonicSnapshotSeq) {
   EXPECT_GT(a.snapshot_seq, 0u);
   EXPECT_GT(b.snapshot_seq, a.snapshot_seq);
   EXPECT_GE(b.uptime_ms, a.uptime_ms);
+}
+
+TEST(SatEngineTest, StatsAreReadFromTheRegistryAndRoutes) {
+  // One home per count: at quiescence every SatEngineStats field equals the
+  // registry counter of the same name or, for the four outcomes a route
+  // already names, that route's count. Every outcome is driven at least
+  // once so the comparison is not vacuous.
+  Dtd d = MakeHeavyDtd();
+  SatEngineOptions opt;
+  opt.num_threads = 1;
+  SatEngine engine(opt);
+  DtdHandle handle = engine.RegisterDtd(d);
+  engine.RegisterDtd(d);  // a DTD-cache hit
+  SatRequest r;
+  r.query = "section/item";
+  r.dtd = handle;
+  ASSERT_TRUE(engine.Run(r).status.ok());  // miss
+  ASSERT_TRUE(engine.Run(r).status.ok());  // memo hit
+  SatRequest bad = r;
+  bad.query = "A[[";
+  EXPECT_FALSE(engine.Run(bad).status.ok());
+  {
+    ParkedWorker parked(&engine);
+    SatRequest expiring = r;
+    expiring.query = "section/heading";
+    expiring.deadline_ms = 1;
+    SatTicket expired = engine.Submit(expiring);
+    SatRequest revoked = r;
+    revoked.query = "section/appendix";
+    SatTicket cancelled = engine.Submit(revoked);
+    EXPECT_TRUE(engine.TryCancel(cancelled));
+    EXPECT_EQ(expired.Get().trace.route, "deadline");
+  }
+  const std::string path = testing::TempDir() + "one_source.snap";
+  ASSERT_TRUE(engine.SaveSnapshot(path).status.ok());
+  ASSERT_TRUE(engine.LoadSnapshot(path).status.ok());
+
+  const SatEngineStats s = engine.stats();
+  std::map<std::string, uint64_t> routes = engine.routes().TakeSnapshot();
+  auto counter = [&engine](const char* name) {
+    const obs::Counter* c = engine.metrics().FindCounter(name);
+    EXPECT_NE(c, nullptr) << name;
+    return c == nullptr ? UINT64_MAX : c->value();
+  };
+  EXPECT_EQ(s.requests, counter("requests"));
+  EXPECT_EQ(s.dtd_cache_hits, counter("dtd_cache_hits"));
+  EXPECT_EQ(s.dtd_cache_misses, counter("dtd_cache_misses"));
+  EXPECT_EQ(s.query_cache_hits, counter("query_cache_hits"));
+  EXPECT_EQ(s.query_cache_misses, counter("query_cache_misses"));
+  EXPECT_EQ(s.memo_misses, counter("memo_misses"));
+  EXPECT_EQ(s.store_dtds_loaded, counter("store_dtds_loaded"));
+  EXPECT_EQ(s.store_memos_loaded, counter("store_memos_loaded"));
+  EXPECT_EQ(s.store_records_corrupt, counter("store_records_corrupt"));
+  EXPECT_EQ(s.store_records_rejected, counter("store_records_rejected"));
+  EXPECT_EQ(s.store_version_rejects, counter("store_version_rejects"));
+  EXPECT_EQ(s.memo_hits, routes["memo-hit"]);
+  EXPECT_EQ(s.parse_errors, routes["parse-error"]);
+  EXPECT_EQ(s.cancellations, routes["cancelled"]);
+  EXPECT_EQ(s.deadline_expirations, routes["deadline"]);
+
+  EXPECT_EQ(s.dtd_cache_hits, 1u);
+  EXPECT_EQ(s.dtd_cache_misses, 1u);
+  EXPECT_EQ(s.memo_hits, 1u);
+  EXPECT_EQ(s.memo_misses, 1u);
+  EXPECT_EQ(s.parse_errors, 1u);
+  EXPECT_EQ(s.cancellations, 1u);
+  EXPECT_EQ(s.deadline_expirations, 1u);
+  EXPECT_EQ(s.store_dtds_loaded, 1u);
+  EXPECT_EQ(s.store_memos_loaded, 1u);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <map>
@@ -30,6 +31,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/obs/metrics.h"
 #include "src/server/protocol.h"
 #include "src/server/session.h"
 #include "src/util/net.h"
@@ -364,26 +366,50 @@ TEST(ServerSessionTest, NulLeadingLineIsUnknownVerbAndSessionSurvives) {
 }
 
 TEST(ServerSessionTest, MetricsPromForwardsExpositionVerbatim) {
-  // Regression: the prom splitter used to drop blank lines, corrupting the
-  // text exposition (blank separator lines are content; scrapers and the
-  // lint gate both see byte-exact output).
+  // The session forwards the renderer's exposition line for line, blank
+  // lines included (the prom splitter once dropped them): its lines equal
+  // obs::RenderMetricsProm over the same engine, once the two fields that
+  // change between renders (uptime_ms, snapshot_seq) are masked.
   SatEngine engine;
+  std::string dtd_path = WriteTempDtd("session_prom.dtd");
   auto log = std::make_shared<SinkLog>();
-  SessionOptions opt;
-  opt.metrics_prom = [] {
-    return std::string("# HELP x_total things\n# TYPE x_total counter\n"
-                       "\nx_total 1\n# EOF\n");
-  };
-  ServerSession session(&engine, opt,
+  ServerSession session(&engine, SessionOptions{},
                         [log](const std::string& l) { (*log)(l); });
+  ASSERT_TRUE(session.HandleLine("dtd cat " + dtd_path));
+  ASSERT_TRUE(session.HandleLine("query cat section"));
+  ASSERT_TRUE(session.HandleLine("flush"));
+  ASSERT_TRUE(session.HandleLine("query cat section"));  // a memo hit
+  ASSERT_TRUE(session.HandleLine("query cat A[["));      // a parse error
+  ASSERT_TRUE(session.HandleLine("flush"));
+  const size_t before = log->snapshot().size();
   ASSERT_TRUE(session.HandleLine("metrics prom"));
-  std::vector<std::string> lines = log->snapshot();
-  ASSERT_EQ(lines.size(), 5u);
-  EXPECT_EQ(lines[0], "# HELP x_total things");
-  EXPECT_EQ(lines[1], "# TYPE x_total counter");
-  EXPECT_EQ(lines[2], "");  // the blank separator survives
-  EXPECT_EQ(lines[3], "x_total 1");
-  EXPECT_EQ(lines[4], "# EOF");
+  std::vector<std::string> got = log->snapshot();
+  got.erase(got.begin(), got.begin() + static_cast<std::ptrdiff_t>(before));
+
+  const std::string text =
+      obs::RenderMetricsProm(MetricsInput(engine, nullptr));
+  std::vector<std::string> want;
+  for (size_t start = 0; start < text.size();) {
+    size_t nl = text.find('\n', start);
+    if (nl == std::string::npos) nl = text.size();
+    want.push_back(text.substr(start, nl - start));
+    start = nl + 1;
+  }
+  auto mask = [](std::vector<std::string>* lines) {
+    for (std::string& l : *lines) {
+      for (const char* name : {"xpathsat_uptime_ms ",
+                               "xpathsat_snapshot_seq "}) {
+        if (l.rfind(name, 0) == 0) l = name;
+      }
+    }
+  };
+  mask(&got);
+  mask(&want);
+  EXPECT_EQ(got, want);
+  ASSERT_FALSE(got.empty());
+  EXPECT_EQ(got.back(), "# EOF");
+  EXPECT_NE(std::find(got.begin(), got.end(), "xpathsat_requests 3"),
+            got.end());
 }
 
 // --- SocketServer over real sockets --------------------------------------
@@ -1287,6 +1313,89 @@ TEST(SocketServerTest, HealthIsUnauthenticatedButRedactedBeforeAuth) {
   EXPECT_NE(full.find("\"connections_active\": 1"), std::string::npos)
       << full;
   EXPECT_NE(full.find("\"engine\": {"), std::string::npos) << full;
+  client.Send("quit");
+  client.WaitFor("ok quit");
+  server.Stop();
+}
+
+// The number after `"key": ` in a one-line JSON reply (the first match).
+uint64_t JsonCount(const std::string& line, const std::string& key) {
+  const std::string needle = "\"" + key + "\": ";
+  const size_t at = line.find(needle);
+  EXPECT_NE(at, std::string::npos) << key << " missing from " << line;
+  if (at == std::string::npos) return UINT64_MAX;
+  return std::strtoull(line.c_str() + at + needle.size(), nullptr, 10);
+}
+
+TEST(SocketServerTest, StatsHealthAndMetricsRenderOneSource) {
+  // Every count lives in one registry, so the three JSON surfaces cannot
+  // drift apart: at quiescence `stats`, `health` and `metrics` report the
+  // same requests, memo hits and accepted connections, and so do the typed
+  // accessors.
+  SatEngine engine;
+  std::string dtd_path = WriteTempDtd("socket_one_source.dtd");
+  SocketServerOptions opt;
+  opt.unix_path = SocketPath("onesource");
+  SocketServer server(&engine, opt);
+  ASSERT_TRUE(server.Start().ok());
+  {
+    // A first connection that comes and goes.
+    Result<net::ScopedFd> fd = net::ConnectUnix(opt.unix_path);
+    ASSERT_TRUE(fd.ok()) << fd.error();
+    TestClient client(std::move(fd).value());
+    client.Send("quit");
+    client.WaitFor("ok quit");
+    client.WaitForEof();
+  }
+  // Its teardown finishes just after the EOF; wait for it, so the active
+  // gauge holds still while the three replies are compared.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (server.connections_active() != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(server.connections_active(), 0u);
+  Result<net::ScopedFd> fd = net::ConnectUnix(opt.unix_path);
+  ASSERT_TRUE(fd.ok()) << fd.error();
+  TestClient client(std::move(fd).value());
+  client.Send("dtd cat " + dtd_path);
+  client.WaitFor("ok dtd cat");
+  for (int i = 0; i < 3; ++i) {
+    client.Send("query cat section");
+    client.Send("flush");
+    client.WaitFor("ok flush");
+  }
+  client.Send("stats");
+  const std::string stats = client.WaitFor("stats {");
+  client.Send("health");
+  const std::string health = client.WaitFor("health {");
+  client.Send("metrics");
+  const std::string metrics = client.WaitFor("metrics {");
+
+  EXPECT_EQ(JsonCount(stats, "requests"), 3u) << stats;
+  EXPECT_EQ(JsonCount(stats, "memo_hits"), 2u) << stats;
+  EXPECT_EQ(JsonCount(stats, "connections_accepted"), 2u) << stats;
+  for (const char* key : {"requests", "memo_hits", "connections_accepted"}) {
+    EXPECT_EQ(JsonCount(health, key), JsonCount(stats, key)) << key;
+  }
+  // In `metrics` the connection counts are counters (the active count a
+  // gauge) and memo hits are the `memo-hit` route count.
+  const size_t counters = metrics.find("\"counters\": {");
+  const size_t gauges = metrics.find("\"gauges\": {");
+  ASSERT_NE(counters, std::string::npos) << metrics;
+  ASSERT_NE(gauges, std::string::npos) << metrics;
+  const std::string counter_part = metrics.substr(counters, gauges - counters);
+  EXPECT_EQ(JsonCount(counter_part, "requests"), JsonCount(stats, "requests"));
+  EXPECT_EQ(JsonCount(counter_part, "connections_accepted"),
+            JsonCount(stats, "connections_accepted"));
+  EXPECT_EQ(JsonCount(metrics.substr(gauges), "connections_active"),
+            JsonCount(stats, "connections_active"));
+  EXPECT_EQ(JsonCount(metrics, "memo-hit"), JsonCount(stats, "memo_hits"));
+
+  EXPECT_EQ(engine.stats().requests, 3u);
+  EXPECT_EQ(engine.stats().memo_hits, 2u);
+  EXPECT_EQ(server.connections_accepted(), 2u);
   client.Send("quit");
   client.WaitFor("ok quit");
   server.Stop();

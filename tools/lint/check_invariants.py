@@ -40,6 +40,12 @@ Rules (ids are stable; failures print one machine-readable line each):
                   kKnownErrSlugs array — the client library must not lag
                   the server's wire surface. Vacuous when the tree has no
                   src/client/ (other fixtures) or no protocol.cc.
+  metric-doc      every metric name registered under src/ through
+                  `.counter("...")`, `.gauge("...")` or `.histogram("...")`
+                  (or `->` on a registry pointer) appears in backticks in
+                  the first column of the README metrics table (the one
+                  headed `| Metric |`) — a scrape series nobody documented
+                  is a number nobody can read.
   dup-helper      no two tools/*.cc files define a same-named free function
                   with an identical normalized body of >= 6 statements —
                   the copy-paste class that produced two byte-identical
@@ -60,7 +66,7 @@ import re
 import sys
 
 ALL_RULES = ("verb-doc", "mutex-guard", "banned-pattern", "err-slug-doc",
-             "store-version", "client-sync", "dup-helper")
+             "store-version", "client-sync", "metric-doc", "dup-helper")
 
 # ---------------------------------------------------------------------------
 # Helpers
@@ -267,6 +273,60 @@ def rule_err_slug_doc(root):
     return findings
 
 
+# A registration: `metrics_.counter("name")`, `reg->histogram("name")`, ...
+METRIC_SITE = re.compile(
+    r"(?:\.|->)\s*(counter|gauge|histogram)\(\s*\"([^\"\\]+)\"\s*\)")
+# Backticked names in the first cell of a table row.
+FIRST_CELL = re.compile(r"^\|([^|]*)\|")
+
+
+def readme_metric_names(readme_text):
+    """Backticked names in the first column of the table headed
+    `| Metric |`; None when the README has no such table."""
+    names = None
+    for line in readme_text.splitlines():
+        stripped = line.strip()
+        if names is None:
+            if re.match(r"^\|\s*Metric\s*\|", stripped):
+                names = set()
+            continue
+        if not stripped.startswith("|"):
+            break
+        cell = FIRST_CELL.match(stripped)
+        if cell:
+            names.update(re.findall(r"`([^`]+)`", cell.group(1)))
+    return names
+
+
+def rule_metric_doc(root):
+    readme_path = os.path.join(root, "README.md")
+    if not os.path.isfile(readme_path):
+        return [("README.md", "missing (required by metric-doc rule)")]
+    documented = readme_metric_names(read(readme_path))
+    if documented is None:
+        return [("README.md", "no metrics table (a `| Metric |` header row) "
+                 "found (required by metric-doc rule)")]
+    findings = []
+    seen = set()
+    for path in source_files(root, ("src",)):
+        text = strip_comments(read(path))
+        for m in METRIC_SITE.finditer(text):
+            kind, name = m.group(1), m.group(2)
+            if name in seen:
+                continue
+            seen.add(name)
+            if name not in documented:
+                findings.append(
+                    (rel(root, path),
+                     "%s '%s' (line %d) is not in the README metrics table "
+                     "— add a `| `%s` | %s | ... |` row"
+                     % (kind, name, line_of(text, m.start()), name, kind)))
+    if not seen:
+        findings.append(("src", "no metric registration sites found "
+                         "(extraction pattern broke?)"))
+    return findings
+
+
 SNAPSHOT_VERSION = re.compile(
     r"\bkSnapshotFormatVersion\s*=\s*(\d+)\s*;")
 
@@ -413,6 +473,7 @@ RULES = {
     "err-slug-doc": rule_err_slug_doc,
     "store-version": rule_store_version,
     "client-sync": rule_client_sync,
+    "metric-doc": rule_metric_doc,
     "dup-helper": rule_dup_helper,
 }
 

@@ -51,7 +51,9 @@
 #include <thread>
 
 #include "src/engine/sat_engine.h"
+#include "src/obs/metrics.h"
 #include "src/server/protocol.h"
+#include "src/server/session.h"
 #include "src/server/socket_server.h"
 #include "src/util/flags.h"
 #include "src/util/mutex.h"
@@ -208,9 +210,11 @@ int main(int argc, char** argv) {
           }
           if (dump_stop) return;
         }
-        // Render and print outside the lock: MetricsJson walks the engine
-        // registries and must not serialize against the stop path.
-        std::string json = server.MetricsJson();
+        // Render and print outside the lock: the render walks the engine
+        // and server registries and must not serialize against the stop
+        // path.
+        std::string json = obs::RenderMetricsJson(
+            server::MetricsInput(engine, &server.metrics()));
         std::fprintf(stderr, "metrics %s\n", json.c_str());
       }
     });
@@ -234,7 +238,10 @@ int main(int argc, char** argv) {
   server.Stop();
   if (metrics_dump_ms > 0) {
     // The last scrape covers all drained traffic, however short the run.
-    std::fprintf(stderr, "metrics %s\n", server.MetricsJson().c_str());
+    std::fprintf(stderr, "metrics %s\n",
+                 obs::RenderMetricsJson(
+                     server::MetricsInput(engine, &server.metrics()))
+                     .c_str());
   }
   if (!save_on_exit.empty()) {
     SnapshotSaveResult saved = engine.SaveSnapshot(save_on_exit);
